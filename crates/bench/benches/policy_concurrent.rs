@@ -1,18 +1,16 @@
-//! Concurrent decision throughput of the sharded engine: N OS threads hammering one
+//! Concurrent decision throughput of the shared engine: N OS threads hammering one
 //! shared [`EscudoEngine`] with the standard decision workload, plus the end-to-end
 //! multi-session (forum/blog/calendar) workload.
 //!
 //! Run with `cargo bench --bench policy_concurrent` (optionally
 //! `-- --threads N --passes K`). This is a plain `harness = false` binary; it reports
 //! aggregate decisions/second at 1/2/4/8 threads and exits non-zero if the
-//! behavioural gate fails:
-//!
-//! * steady-state cache hit rate must be ≥ 95% at every thread count (the shared
-//!   warm cache really is shared), and
-//! * multi-thread aggregate throughput must not collapse below single-thread
-//!   throughput (no global-lock convoy: the sharded engine keeps threads off each
-//!   other's locks). A small tolerance absorbs scheduler noise on starved CI
-//!   runners; the strict comparison is printed either way.
+//! behavioural gate fails: multi-thread aggregate throughput must not collapse
+//! below single-thread throughput. The threads share two kinds of mutable words:
+//! the engine's relaxed decision counter, and the refcounts of the workload's
+//! `Origin` strings, which every cross-origin denial clones. A collapse means one
+//! of them contends across cores. A small tolerance absorbs scheduler noise on
+//! starved CI runners; the strict comparison is printed either way.
 
 use std::sync::Arc;
 
@@ -25,15 +23,13 @@ use escudo_core::EscudoEngine;
 /// A global-mutex engine loses far more than this to lock convoying once threads
 /// contend; scheduler noise on a shared runner loses far less.
 const NO_COLLAPSE_FRACTION: f64 = 0.85;
-const MIN_STEADY_STATE_HIT_RATE: f64 = 0.95;
 
 fn report_line(sample: &ThroughputSample) {
     println!(
-        "  {: >2} thread(s)  {: >9.1} ns/decision  {: >12.0} decisions/s  hit rate {:5.1}%",
+        "  {: >2} thread(s)  {: >9.1} ns/decision  {: >12.0} decisions/s",
         sample.threads,
         sample.ns_per_decision(),
         sample.decisions_per_sec(),
-        sample.hit_rate * 100.0
     );
 }
 
@@ -62,7 +58,7 @@ fn main() {
     // Warm-up pass for allocator and branch predictors before any timed window.
     let _ = best_throughput(&workload, 1, total_passes / 4, 1);
 
-    println!("aggregate cached-decision throughput (shared sharded engine):");
+    println!("aggregate decision throughput (shared engine):");
     let mut samples = Vec::new();
     for &threads in &thread_counts {
         let sample = best_throughput(&workload, threads, (total_passes / threads).max(1), 5);
@@ -71,58 +67,26 @@ fn main() {
     }
 
     // ------------------------------------------------------------- behavioural gate
-    let mut failed = false;
-    for sample in &samples {
-        if sample.hit_rate < MIN_STEADY_STATE_HIT_RATE {
-            eprintln!(
-                "FAIL: steady-state hit rate {:.1}% < {:.0}% at {} thread(s) — the shared \
-                 warm cache is not being hit",
-                sample.hit_rate * 100.0,
-                MIN_STEADY_STATE_HIT_RATE * 100.0,
-                sample.threads
-            );
-            failed = true;
-        }
-    }
-
     let gate_samples: Vec<(usize, f64)> = samples
         .iter()
         .map(|s| (s.threads, s.decisions_per_sec()))
         .collect();
-    failed |= no_collapse_gate("decision", &gate_samples, NO_COLLAPSE_FRACTION);
+    let mut failed = no_collapse_gate("decision", &gate_samples, NO_COLLAPSE_FRACTION);
 
     // --------------------------------------------- end-to-end multi-session workload
     let session_threads = max_threads.clamp(2, 4);
     let engine = Arc::new(EscudoEngine::new());
     let report = run_concurrent_sessions(&engine, session_threads, 3);
-    let stats = &report.stats;
     println!(
         "multi-session workload: {} sessions × {} rounds, {} page loads, {} checks \
-         ({} denials), engine hit rate {:.1}% over {} shards ({} evictions)",
+         ({} denials), {} engine decisions",
         report.threads,
         report.rounds,
         report.page_loads(),
         report.checks(),
         report.denials(),
-        stats.hit_rate() * 100.0,
-        stats.shards.len(),
-        stats.evictions,
+        report.stats.decisions,
     );
-    println!(
-        "interner occupancy: {} principals + {} objects, {} CAS retries, max bucket depth {}",
-        stats.interned_principals,
-        stats.interned_objects,
-        stats.interner_cas_retries,
-        stats.interner_max_bucket_depth,
-    );
-    if stats.decisions != stats.cache_hits + stats.cache_misses {
-        eprintln!(
-            "FAIL: inconsistent engine stats after concurrent sessions: {} decisions vs \
-             {} hits + {} misses",
-            stats.decisions, stats.cache_hits, stats.cache_misses
-        );
-        failed = true;
-    }
     if report.checks() == 0 {
         eprintln!("FAIL: the multi-session workload performed no mediation at all");
         failed = true;
@@ -133,16 +97,10 @@ fn main() {
         json.num(
             &format!("decisions_per_sec_t{}", sample.threads),
             sample.decisions_per_sec(),
-        )
-        .num(&format!("hit_rate_t{}", sample.threads), sample.hit_rate);
+        );
     }
     json.int("session_page_loads", report.page_loads())
         .int("session_checks", report.checks())
-        .num("session_hit_rate", stats.hit_rate())
-        .int("interned_principals", stats.interned_principals)
-        .int("interned_objects", stats.interned_objects)
-        .int("interner_cas_retries", stats.interner_cas_retries)
-        .int("interner_max_bucket_depth", stats.interner_max_bucket_depth)
         .flag("gates_passed", !failed);
     json.write_if_requested(&args);
 

@@ -1,15 +1,22 @@
-//! Microbenchmark of the policy-decision core: the raw decision procedure versus the
-//! [`EscudoEngine`]'s cold (first-touch) and cached (repeated identical checks) paths,
-//! plus batch mediation and the same-origin baseline.
+//! Microbenchmark of the policy-decision core: the [`EscudoEngine`] next to the raw
+//! decision procedure and the same-origin baseline.
 //!
 //! Run with `cargo bench --bench policy_decide`. This is a plain `harness = false`
-//! binary (the container has no external bench harness); it reports nanoseconds per
-//! decision and decisions per second for each path, and exits non-zero if the cached
-//! path fails to beat the cold path on repeated identical checks.
+//! binary (the workspace has no external dependencies); it reports nanoseconds per
+//! decision and decisions per second for each path, and exits non-zero if the
+//! engine costs more than [`MAX_ENGINE_OVER_FREE`] times the free function: the
+//! engine is the free function plus one relaxed counter, so anything beyond that
+//! is overhead the engine layer added back.
+//!
+//! [`EscudoEngine`]: escudo_core::EscudoEngine
 
 use escudo_bench::cli::JsonReport;
 use escudo_bench::measure::{measure_decision_paths, DecisionReport};
 use escudo_bench::workload::decision_workload;
+
+/// Bound on engine ns/decision over free-function ns/decision, from interleaved
+/// medians.
+const MAX_ENGINE_OVER_FREE: f64 = 1.25;
 
 fn report_line(name: &str, ns: f64) {
     println!(
@@ -31,49 +38,29 @@ fn main() {
 
     // Warm the allocator and branch predictors once before timing.
     let _ = measure_decision_paths(&workload, 1);
-    let report = measure_decision_paths(&workload, 9);
+    let report = measure_decision_paths(&workload, 15);
 
-    println!("cold vs cached decision paths:");
-    report_line("escudo_engine_cold", report.cold_ns);
-    report_line("escudo_engine_cached", report.cached_ns);
-    report_line("escudo_engine_batch_cached", report.batch_cached_ns);
+    println!("decision paths (medians of interleaved rounds):");
+    report_line("escudo_engine", report.engine_ns);
     report_line("decide_free_function", report.free_fn_ns);
     report_line("same_origin_baseline", report.sop_ns);
-    println!(
-        "  cached speedup over cold: {:.2}x (cache hit rate {:.1}%)",
-        report.speedup(),
-        report.hit_rate * 100.0
-    );
+    let ratio = report.engine_over_free();
+    println!("  engine over free function: {ratio:.2}x (gate: ≤ {MAX_ENGINE_OVER_FREE:.2}x)");
 
+    let passed = ratio <= MAX_ENGINE_OVER_FREE;
     let mut json = JsonReport::new("policy_decide");
-    json.num("cold_ns_per_decision", report.cold_ns)
-        .num("cached_ns_per_decision", report.cached_ns)
-        .num("batch_cached_ns_per_decision", report.batch_cached_ns)
+    json.num("engine_ns_per_decision", report.engine_ns)
         .num("free_fn_ns_per_decision", report.free_fn_ns)
         .num("sop_ns_per_decision", report.sop_ns)
-        .num("cached_speedup", report.speedup())
-        .num("hit_rate", report.hit_rate)
-        .flag("gates_passed", report.hit_rate >= 0.9);
+        .num("engine_over_free_ratio", ratio)
+        .flag("gates_passed", passed);
     json.write_if_requested(&args);
 
-    // The hard gate is behavioural (cache hits actually happen on repeated identical
-    // checks) — wall-clock comparisons stay informational so a noisy CI runner cannot
-    // fail the build without a real defect.
-    if report.hit_rate < 0.9 {
+    if !passed {
         eprintln!(
-            "FAIL: warm-engine cache hit rate {:.1}% < 90% — repeated identical checks \
-             are not being served from the cache",
-            report.hit_rate * 100.0
+            "FAIL: the engine costs {ratio:.2}x the free decide function (gate: ≤ \
+             {MAX_ENGINE_OVER_FREE:.2}x)"
         );
         std::process::exit(1);
-    }
-    if report.cached_ns >= report.cold_ns {
-        eprintln!(
-            "WARN: cached path ({:.1} ns) did not beat cold path ({:.1} ns) on this run \
-             (timing noise?)",
-            report.cached_ns, report.cold_ns
-        );
-    } else {
-        println!("ok: cached path is measurably faster than cold");
     }
 }

@@ -5,15 +5,12 @@
 //! `-- --threads N --batches B --passes P --json path`). This is a plain
 //! `harness = false` binary; it exits non-zero if a behavioural gate fails:
 //!
-//! * **isolation gate** — tenant B's p99 warm-grid mediation latency under
-//!   tenant A's 10× cache-churning storm must stay within **3×** of its
-//!   unloaded baseline, its warm-cache hit rate must hold a **0.95 floor**,
-//!   and A must force **zero** evictions on B's engine (per-tenant caches are
-//!   physically disjoint). On a host without two hardware threads the storm
-//!   and the victim timeshare one core, so the p99 ratio measures the OS
-//!   scheduler, not tenant isolation — that one ratio gate degrades to
-//!   observability with the reason printed; the eviction and hit-rate gates
-//!   hold regardless,
+//! * **isolation gate** — tenant B's p99 grid mediation latency under tenant
+//!   A's storm of distinct decisions must stay within **3×** of its unloaded
+//!   baseline. On a host without two hardware threads the storm and the victim
+//!   timeshare one core, so the p99 ratio measures the OS scheduler, not
+//!   tenant isolation — the gate then degrades to observability with the
+//!   reason printed,
 //! * **admission gate** — a token bucket with `burst` tokens and no refill
 //!   must admit exactly `burst` of the fired checks and shed every other one
 //!   fail-closed with the distinct `Throttled` attribution,
@@ -45,9 +42,6 @@ use escudo_net::{Request, Response, Server};
 
 /// Maximum contended-over-baseline p99 ratio for the victim tenant.
 const MAX_NEIGHBOR_P99_RATIO: f64 = 3.0;
-
-/// Minimum warm-cache hit rate the victim must hold under the storm.
-const MIN_VICTIM_HIT_RATE: f64 = 0.95;
 
 struct StaticPage;
 impl Server for StaticPage {
@@ -111,14 +105,12 @@ fn main() {
     let degradation = neighbor.contended_p99_ns as f64 / neighbor.baseline_p99_ns.max(1) as f64;
     println!(
         "victim p99: {} ns alone, {} ns under the {}-thread storm ({degradation:.2}x); \
-         hit rate {:.4}, {} victim evictions; storm pushed {} decisions, {} self-evictions",
+         victim decided {}, storm pushed {} decisions",
         neighbor.baseline_p99_ns,
         neighbor.contended_p99_ns,
         neighbor.storm_threads,
-        neighbor.victim_hit_rate,
-        neighbor.victim_evictions,
-        neighbor.storm_decisions,
-        neighbor.storm_evictions
+        neighbor.victim_decisions,
+        neighbor.storm_decisions
     );
     json.int("neighbor_baseline_p99_ns", neighbor.baseline_p99_ns)
         .int(
@@ -131,33 +123,14 @@ fn main() {
             neighbor.contended_p99_spread_ns,
         )
         .num("neighbor_degradation", degradation)
-        .num("victim_hit_rate", neighbor.victim_hit_rate)
-        .int("neighbor_eviction_violations", neighbor.victim_evictions)
         .int("storm_decisions", neighbor.storm_decisions);
-    if neighbor.victim_evictions != 0 {
-        eprintln!(
-            "FAIL: the storm evicted {} entries from the victim tenant's cache — per-tenant \
-             engines must be disjoint",
-            neighbor.victim_evictions
-        );
-        failed = true;
-    }
-    if neighbor.victim_hit_rate < MIN_VICTIM_HIT_RATE {
-        eprintln!(
-            "FAIL: victim warm-cache hit rate {:.4} under the storm (floor: {MIN_VICTIM_HIT_RATE})",
-            neighbor.victim_hit_rate
-        );
-        failed = true;
-    }
     if hardware_threads < 2 {
         println!(
             "note: single hardware thread — the storm and the victim timeshare one core, so \
              the p99 ratio measures the OS scheduler, not tenant isolation; ratio gate skipped"
         );
     } else if degradation <= MAX_NEIGHBOR_P99_RATIO {
-        println!(
-            "ok: victim p99 within {MAX_NEIGHBOR_P99_RATIO:.1}x of baseline under the 10x storm"
-        );
+        println!("ok: victim p99 within {MAX_NEIGHBOR_P99_RATIO:.1}x of baseline under the storm");
     } else {
         eprintln!(
             "FAIL: victim p99 degraded {degradation:.2}x under the storm (gate: ≤ \

@@ -8,7 +8,7 @@ use escudo_apps::{CalendarApp, ForumApp, ForumConfig};
 use escudo_browser::{Browser, PolicyMode};
 use escudo_core::taxonomy;
 
-use crate::measure::{measure_event_dispatch, measure_parse_render, SampleStats};
+use crate::measure::{load_once, measure_event_dispatch, SampleStats};
 use crate::workload::{figure4_scenarios, generate_page};
 
 // ------------------------------------------------------------------------ Figure 4
@@ -41,14 +41,21 @@ pub struct Figure4Report {
 
 impl Figure4Report {
     /// Runs the experiment: `runs` timed loads of each of the 8 scenarios under each
-    /// mode (the paper averages over 90 executions).
+    /// mode (the paper averages over 90 executions). The two modes alternate load by
+    /// load (SOP, ESCUDO, SOP, ESCUDO, …), so host noise lands on both sides alike
+    /// instead of on whichever mode happened to be timed during it.
     #[must_use]
     pub fn run(runs: usize) -> Self {
         let mut rows = Vec::new();
         for scenario in figure4_scenarios() {
             let html = generate_page(&scenario);
-            let without = measure_parse_render(PolicyMode::SameOriginOnly, &html, runs);
-            let with = measure_parse_render(PolicyMode::Escudo, &html, runs);
+            let (mut without, mut with) = (Vec::with_capacity(runs), Vec::with_capacity(runs));
+            for _ in 0..runs {
+                without.push(load_once(PolicyMode::SameOriginOnly, &html).parse_and_render_ns());
+                with.push(load_once(PolicyMode::Escudo, &html).parse_and_render_ns());
+            }
+            let without = SampleStats::from_samples(&without);
+            let with = SampleStats::from_samples(&with);
             // Overhead is computed on medians: the absolute per-load times are well
             // under a millisecond on modern hardware, so the mean is easily skewed by
             // scheduler noise.

@@ -6,12 +6,9 @@
 //!   of AC-tagged regions and dynamic content,
 //! * [`cli`] — flag parsing, the no-collapse gate and the `--json` report writer
 //!   shared by the `harness = false` bench binaries,
-//! * [`interner`] — the first-touch-storm workload racing the lock-free
-//!   [`escudo_core::ContextInterner`] against the retained `RwLock<ContextTable>`
-//!   reference, behind `interner_concurrent`,
 //! * [`measure`] — timed page loads and event dispatches under either policy mode,
 //! * [`concurrent`] — the multi-session workload: N OS threads driving independent
-//!   forum/blog/calendar sessions against one shared sharded engine, plus the
+//!   forum/blog/calendar sessions against one shared engine, plus the
 //!   concurrent decision-throughput measurement behind `policy_concurrent`,
 //! * [`loader`] — the pipelined-subresource-loader workload over a shared network
 //!   fabric with simulated per-origin latency: pipelined-vs-sequential page-load
@@ -49,7 +46,6 @@ pub mod cli;
 pub mod concurrent;
 pub mod experiments;
 pub mod fault;
-pub mod interner;
 pub mod loader;
 pub mod measure;
 pub mod scheduler;

@@ -1,8 +1,7 @@
 //! Timed page loads, event dispatches and policy-decision throughput.
 
 use escudo_browser::{Browser, PolicyMode};
-use escudo_core::context::{ObjectContext, PrincipalContext};
-use escudo_core::{EscudoEngine, Operation, PolicyEngine, SameOriginEngine};
+use escudo_core::{Decision, EscudoEngine, PolicyEngine, SameOriginEngine};
 use escudo_dom::EventType;
 use escudo_net::{Request, Response};
 
@@ -108,15 +107,6 @@ impl SampleStats {
     }
 }
 
-/// Measures the parse+render time of `html` over `runs` loads under `mode`.
-#[must_use]
-pub fn measure_parse_render(mode: PolicyMode, html: &str, runs: usize) -> SampleStats {
-    let samples: Vec<u128> = (0..runs)
-        .map(|_| load_once(mode, html).parse_and_render_ns())
-        .collect();
-    SampleStats::from_samples(&samples)
-}
-
 /// Measures UI-event dispatch time: fires `click` on a handler-carrying element `runs`
 /// times and reports per-dispatch statistics.
 #[must_use]
@@ -146,38 +136,33 @@ pub fn measure_event_dispatch(
     SampleStats::from_samples(&samples)
 }
 
-/// Cold-vs-cached decision throughput of the [`EscudoEngine`], plus the baselines.
+/// Per-decision cost of the [`EscudoEngine`] next to its baselines.
 ///
-/// * `cold` — every context pair seen for the first time: interning inserts, full
-///   origin/ring/ACL evaluation, cache fill,
-/// * `cached` — the same checks repeated against the warm engine: interner and
-///   decision cache hits only,
+/// * `engine` — the production engine (the rules plus its counter),
 /// * `free_fn` — the raw `escudo_core::policy::decide` free function (no engine),
 /// * `sop` — the [`SameOriginEngine`] baseline.
+///
+/// Each figure is the median over interleaved rounds (engine, free function, SOP
+/// engine, then the next round), so slow drift on the host hits all three alike.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DecisionReport {
     /// Number of checks in the workload.
     pub checks: usize,
-    /// Nanoseconds per decision on the cold (first-touch) path.
-    pub cold_ns: f64,
-    /// Nanoseconds per decision on the cached (warm) path.
-    pub cached_ns: f64,
+    /// Nanoseconds per decision through the ESCUDO engine.
+    pub engine_ns: f64,
     /// Nanoseconds per decision through the raw free function.
     pub free_fn_ns: f64,
     /// Nanoseconds per decision through the same-origin baseline engine.
     pub sop_ns: f64,
-    /// Nanoseconds per decision for `decide_many` batches on the warm engine.
-    pub batch_cached_ns: f64,
-    /// Cache hit rate observed on the warm engine after all passes.
-    pub hit_rate: f64,
 }
 
 impl DecisionReport {
-    /// Cold-to-cached speedup (how much repeated identical checks gain).
+    /// Engine cost over free-function cost: what the engine's indirection and
+    /// counter add to the three rules.
     #[must_use]
-    pub fn speedup(&self) -> f64 {
-        if self.cached_ns > 0.0 {
-            self.cold_ns / self.cached_ns
+    pub fn engine_over_free(&self) -> f64 {
+        if self.free_fn_ns > 0.0 {
+            self.engine_ns / self.free_fn_ns
         } else {
             0.0
         }
@@ -194,91 +179,46 @@ impl DecisionReport {
     }
 }
 
-fn ns_per_check(checks: usize, f: impl FnOnce()) -> f64 {
+/// Passes over the workload timed as one sample, so a sample spans well over a
+/// timer tick.
+const PASSES_PER_SAMPLE: usize = 16;
+
+fn ns_per_check(workload: &[DecisionCheck], decide: impl Fn(&DecisionCheck) -> Decision) -> f64 {
     let start = std::time::Instant::now();
-    f();
-    start.elapsed().as_nanos() as f64 / checks.max(1) as f64
+    for _ in 0..PASSES_PER_SAMPLE {
+        for check in workload {
+            std::hint::black_box(decide(std::hint::black_box(check)));
+        }
+    }
+    start.elapsed().as_nanos() as f64 / (workload.len() * PASSES_PER_SAMPLE).max(1) as f64
 }
 
-/// Measures cold vs cached decision throughput over `workload`, taking the best of
-/// `passes` timed repetitions for every warm path (the cold path is timed exactly
-/// once per fresh engine — that is what makes it cold).
+fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
+/// Measures the engine, the free function and the SOP engine over `workload` in
+/// `rounds` interleaved rounds and reports each path's median.
 #[must_use]
-pub fn measure_decision_paths(workload: &[DecisionCheck], passes: usize) -> DecisionReport {
-    let passes = passes.max(1);
-    let n = workload.len();
-
-    // Cold: median over `passes` fresh engines, each timed on its very first pass.
-    let mut cold_samples: Vec<f64> = (0..passes)
-        .map(|_| {
-            let engine = EscudoEngine::new();
-            ns_per_check(n, || {
-                for (p, o, op) in workload {
-                    std::hint::black_box(engine.decide(p, o, *op));
-                }
-            })
-        })
-        .collect();
-    cold_samples.sort_by(f64::total_cmp);
-    let cold_ns = cold_samples[cold_samples.len() / 2];
-
-    // Cached: one engine, warmed by a full pass, then the best of `passes` passes.
+pub fn measure_decision_paths(workload: &[DecisionCheck], rounds: usize) -> DecisionReport {
     let engine = EscudoEngine::new();
-    for (p, o, op) in workload {
-        std::hint::black_box(engine.decide(p, o, *op));
-    }
-    let cached_ns = (0..passes)
-        .map(|_| {
-            ns_per_check(n, || {
-                for (p, o, op) in workload {
-                    std::hint::black_box(engine.decide(p, o, *op));
-                }
-            })
-        })
-        .fold(f64::INFINITY, f64::min);
-
-    // Batch mediation on the same warm engine.
-    let batch: Vec<(&PrincipalContext, &ObjectContext, Operation)> =
-        workload.iter().map(|(p, o, op)| (p, o, *op)).collect();
-    let batch_cached_ns = (0..passes)
-        .map(|_| {
-            ns_per_check(n, || {
-                std::hint::black_box(engine.decide_many(&batch)).clear()
-            })
-        })
-        .fold(f64::INFINITY, f64::min);
-
-    // Raw free function.
-    let free_fn_ns = (0..passes)
-        .map(|_| {
-            ns_per_check(n, || {
-                for (p, o, op) in workload {
-                    std::hint::black_box(escudo_core::decide(PolicyMode::Escudo, p, o, *op));
-                }
-            })
-        })
-        .fold(f64::INFINITY, f64::min);
-
-    // Same-origin baseline engine.
     let sop = SameOriginEngine::new();
-    let sop_ns = (0..passes)
-        .map(|_| {
-            ns_per_check(n, || {
-                for (p, o, op) in workload {
-                    std::hint::black_box(sop.decide(p, o, *op));
-                }
-            })
-        })
-        .fold(f64::INFINITY, f64::min);
-
+    let (mut engine_ns, mut free_fn_ns, mut sop_ns) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..rounds.max(1) {
+        engine_ns.push(ns_per_check(workload, |(p, o, op)| {
+            engine.decide(p, o, *op)
+        }));
+        free_fn_ns.push(ns_per_check(workload, |(p, o, op)| {
+            escudo_core::decide(PolicyMode::Escudo, p, o, *op)
+        }));
+        sop_ns.push(ns_per_check(workload, |(p, o, op)| sop.decide(p, o, *op)));
+    }
     DecisionReport {
-        checks: n,
-        cold_ns,
-        cached_ns,
-        free_fn_ns,
-        sop_ns,
-        batch_cached_ns,
-        hit_rate: engine.stats().hit_rate(),
+        checks: workload.len(),
+        engine_ns: median(engine_ns),
+        free_fn_ns: median(free_fn_ns),
+        sop_ns: median(sop_ns),
     }
 }
 
@@ -318,15 +258,13 @@ mod tests {
     }
 
     #[test]
-    fn decision_paths_are_measured_and_cache_hits_observed() {
+    fn decision_paths_are_measured() {
         let workload = decision_workload(8, 8);
         let report = measure_decision_paths(&workload, 3);
         assert_eq!(report.checks, 64);
-        assert!(report.cold_ns > 0.0);
-        assert!(report.cached_ns > 0.0);
+        assert!(report.engine_ns > 0.0);
         assert!(report.free_fn_ns > 0.0);
-        assert!(report.batch_cached_ns > 0.0);
-        // After warm-up every pass hits the cache.
-        assert!(report.hit_rate > 0.5, "hit rate: {}", report.hit_rate);
+        assert!(report.sop_ns > 0.0);
+        assert!(report.engine_over_free() > 0.0);
     }
 }

@@ -413,8 +413,10 @@ pub fn classify(key: &str) -> (Direction, Strictness) {
     if cache_counter {
         return (Direction::Informational, Strictness::Informational);
     }
+    // `ns_per_` only as a prefix: as a substring it would also match
+    // throughput keys like `decisions_per_sec`.
     let lower_perf = key.ends_with("_ns")
-        || key.contains("ns_per_")
+        || key.starts_with("ns_per_")
         || key.contains("_ns_per")
         || key.split('_').any(|segment| segment == "ratio")
         || key.contains("latency_p");
@@ -920,6 +922,10 @@ mod tests {
         );
         assert_eq!(
             classify("pages_per_sec"),
+            (Direction::HigherIsBetter, Strictness::Performance)
+        );
+        assert_eq!(
+            classify("decisions_per_sec_t2"),
             (Direction::HigherIsBetter, Strictness::Performance)
         );
         assert_eq!(

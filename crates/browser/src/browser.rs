@@ -65,7 +65,7 @@ pub const PREFETCH_MAX_CANDIDATES: usize = 8;
 /// The cookie jar is held through an `Arc<SharedCookieJar>` handle: by default each
 /// browser gets a private jar, but [`Browser::with_jar`] lets many concurrent
 /// sessions share one host-sharded store (the server-side multi-session deployment),
-/// exactly as [`Browser::with_engine`] shares one decision cache.
+/// exactly as [`Browser::with_engine`] shares one decision engine.
 pub struct Browser {
     network: Network,
     jar: Arc<SharedCookieJar>,
@@ -119,7 +119,7 @@ impl Browser {
 
     /// Creates a browser enforcing through an existing (possibly shared) decision
     /// engine. Several browsers — e.g. one per simulated user session against the same
-    /// application — can share one engine and therefore one warm decision cache. The
+    /// application — can share one engine and therefore one decision counter. The
     /// cookie jar stays private to this browser.
     #[must_use]
     pub fn with_engine(engine: Arc<dyn PolicyEngine>) -> Self {
@@ -128,7 +128,7 @@ impl Browser {
 
     /// Creates a browser enforcing through an existing engine *and* storing cookies
     /// in an existing (possibly shared) jar, over a private network fabric. This is
-    /// the multi-session deployment: N sessions share one warm decision cache and
+    /// the multi-session deployment: N sessions share one decision engine and
     /// one host-sharded cookie store, and every browser- or script-initiated
     /// request of every session mediates its cookie `use` through the same
     /// reference-monitor path.
@@ -568,9 +568,6 @@ impl Browser {
 
         page.stats.policy_checks = self.erm.checks();
         page.stats.policy_denials = self.erm.denials();
-        // Lock-free counter read: a full `stats()` snapshot sweeps every cache
-        // shard, which would serialize concurrent sessions once per page load.
-        page.stats.policy_cache_hits = self.erm.engine().cache_hits();
 
         self.pages.push(Some(page));
         Ok(PageId(self.pages.len() - 1))

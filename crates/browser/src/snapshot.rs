@@ -1,7 +1,7 @@
 //! One coherent observability surface for the whole control plane.
 //!
-//! Every layer of the stack keeps its own counters — the engine's cache
-//! shards, the reference monitor's check/denial/audit-drop tallies, the cookie
+//! Every layer of the stack keeps its own counters — the engine's decision
+//! counter, the reference monitor's check/denial/audit-drop tallies, the cookie
 //! jar's shard statistics, the network fabric's request log, prefetch cache and
 //! fetch-pool lanes, and each tenant's admission bucket. Before this module,
 //! some of those counters ([`Erm::audit_dropped`], the
@@ -341,32 +341,6 @@ impl ControlPlaneSnapshot {
 
         push("engine_decisions".into(), self.engine.decisions as f64);
         push("engine_cache_hits".into(), self.engine.cache_hits as f64);
-        push(
-            "engine_cache_misses".into(),
-            self.engine.cache_misses as f64,
-        );
-        push("engine_hit_rate".into(), self.engine.hit_rate());
-        push(
-            "engine_interned_principals".into(),
-            self.engine.interned_principals as f64,
-        );
-        push(
-            "engine_interned_objects".into(),
-            self.engine.interned_objects as f64,
-        );
-        push(
-            "engine_interner_cas_retries".into(),
-            self.engine.interner_cas_retries as f64,
-        );
-        push(
-            "engine_interner_max_bucket_depth".into(),
-            self.engine.interner_max_bucket_depth as f64,
-        );
-        push("engine_evictions".into(), self.engine.evictions as f64);
-        push(
-            "engine_cache_shards".into(),
-            self.engine.shards.len() as f64,
-        );
 
         push("erm_checks".into(), self.erm.checks as f64);
         push("erm_denials".into(), self.erm.denials as f64);
@@ -454,7 +428,6 @@ impl ControlPlaneSnapshot {
                 format!("{prefix}_decisions"),
                 tenant.engine.decisions as f64,
             );
-            push(format!("{prefix}_hit_rate"), tenant.engine.hit_rate());
             push(
                 format!("{prefix}_admitted"),
                 tenant.admission.admitted as f64,

@@ -21,8 +21,8 @@
 //! * [`ObjectContext`] / [`PrincipalContext`] — the security contexts the browser
 //!   extracts at parse time and tracks for the lifetime of the page,
 //! * [`policy`] — the decision procedure (and the same-origin-policy baseline),
-//! * [`engine`] — the pluggable [`PolicyEngine`] with context interning and a shared
-//!   decision cache, the single decision core every enforcement point goes through,
+//! * [`engine`] — the pluggable [`PolicyEngine`]: the decision procedure plus a
+//!   counter, the single decision core every enforcement point goes through,
 //! * [`config`] — the AC-tag attribute format and the optional HTTP headers used to
 //!   label cookies and native APIs,
 //! * [`scoping`] — the scoping rule that clamps children to their parent's privilege,
@@ -64,7 +64,6 @@ pub mod config;
 pub mod context;
 pub mod engine;
 pub mod error;
-pub mod interner;
 pub mod nonce;
 pub mod operation;
 pub mod origin;
@@ -76,12 +75,8 @@ pub mod tenant;
 
 pub use acl::Acl;
 pub use context::{ObjectContext, ObjectKind, PrincipalContext, PrincipalKind};
-pub use engine::{
-    default_shard_count, engine_for_mode, ContextInterner, ContextTable, EngineStats, EscudoEngine,
-    ObjectId, PolicyEngine, PrincipalId, SameOriginEngine, ShardStats, DEFAULT_CACHE_CAPACITY,
-};
+pub use engine::{engine_for_mode, EngineStats, EscudoEngine, PolicyEngine, SameOriginEngine};
 pub use error::{ConfigError, PolicyError};
-pub use interner::{AtomicInterner, SPILL_WINDOW_SLOTS};
 pub use nonce::Nonce;
 pub use operation::Operation;
 pub use origin::Origin;

@@ -13,7 +13,7 @@ use crate::error::ConfigError;
 /// When a URL omits the port, the scheme's default port is used (80 for `http`,
 /// 443 for `https`).
 ///
-/// Origins are cloned on every mediation-relevant construction — interner keys,
+/// Origins are cloned on every mediation-relevant construction — denial reasons,
 /// request-issuing principals, per-node security contexts — so the string
 /// components are stored as shared `Arc<str>` slices: a clone is two reference
 /// count bumps, not two heap allocations. Equality and hashing still compare

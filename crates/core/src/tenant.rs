@@ -3,13 +3,13 @@
 //!
 //! ESCUDO's protection model assumes one reference monitor per browser; a
 //! served deployment runs many origin-groups (*tenants*) in one process. This
-//! module is the routing layer above the sharded [`EscudoEngine`]:
+//! module is the routing layer above the [`EscudoEngine`](crate::EscudoEngine):
 //!
 //! * [`EngineHandle`] — an epoch/generation-swapped `Arc` pointer to a
 //!   [`PolicyEngine`]. A hot policy reload ([`EngineHandle::swap`]) publishes a
-//!   new [`EngineGeneration`] without stalling in-flight `decide_many`
-//!   batches: readers pin a generation with one `Arc` clone and keep deciding
-//!   against it; the retired generation is freed when its last reader drops.
+//!   new [`EngineGeneration`] without stalling in-flight mediation plans:
+//!   readers pin a generation with one `Arc` clone and keep deciding against
+//!   it; the retired generation is freed when its last reader drops.
 //!   This is a std-only `ArcSwap` equivalent — a `Mutex`-guarded writer plus a
 //!   generation-checked `Arc` clone on the read side ([`EngineReader`]), so
 //!   the steady-state read path is a single atomic load.
@@ -18,17 +18,17 @@
 //!   counter. Enforced at the `Erm` facade so browser- and script-initiated
 //!   paths are both covered.
 //! * [`TenantRegistry`] — tenant id → [`Tenant`], each tenant owning an
-//!   independent engine (own cache/interner bounds, own
-//!   [`ShardStats`](crate::ShardStats)) and its own admission bucket, so a
-//!   noisy tenant can neither evict another's warm decisions nor starve its
-//!   mediation.
+//!   independent engine (own decision counter) and its own admission bucket,
+//!   so a noisy tenant can neither show up in another's statistics nor starve
+//!   its mediation. Engines hold no decision state, so tenants share no
+//!   mutable decision state at all.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock, Weak};
 use std::time::{Duration, Instant};
 
-use crate::engine::{EngineStats, EscudoEngine, PolicyEngine, SameOriginEngine};
+use crate::engine::{engine_for_mode, EngineStats, PolicyEngine};
 use crate::policy::PolicyMode;
 
 // ---------------------------------------------------------------------------
@@ -385,10 +385,6 @@ fn saturating_bump(counter: &AtomicU64, n: u64) {
 pub struct TenantConfig {
     /// The policy mode the tenant's engine enforces.
     pub mode: PolicyMode,
-    /// Decision-cache bound of the tenant's engine (entries across shards).
-    pub cache_capacity: usize,
-    /// Cache shard count (0 = [`default_shard_count`](crate::default_shard_count)).
-    pub shard_count: usize,
     /// Admission-bucket capacity (0 = unlimited).
     pub admission_burst: u64,
     /// Admission refill rate, tokens per second.
@@ -415,8 +411,6 @@ impl Default for TenantConfig {
     fn default() -> Self {
         TenantConfig {
             mode: PolicyMode::Escudo,
-            cache_capacity: crate::engine::DEFAULT_CACHE_CAPACITY,
-            shard_count: 0,
             admission_burst: 0,
             admission_refill_per_sec: 0,
             fetch_max_retries: 0,
@@ -433,20 +427,6 @@ impl TenantConfig {
     #[must_use]
     pub fn with_mode(mut self, mode: PolicyMode) -> Self {
         self.mode = mode;
-        self
-    }
-
-    /// Bounds the tenant's decision cache (builder style).
-    #[must_use]
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = capacity;
-        self
-    }
-
-    /// Sets the cache shard count (builder style; 0 = auto).
-    #[must_use]
-    pub fn with_shards(mut self, shard_count: usize) -> Self {
-        self.shard_count = shard_count;
         self
     }
 
@@ -496,23 +476,11 @@ impl TenantConfig {
             || self.fetch_breaker_cooldown_ns > 0
     }
 
-    /// Builds a fresh engine for this configuration — an independently bounded
-    /// [`EscudoEngine`] or the [`SameOriginEngine`] baseline.
+    /// Builds a fresh engine for this configuration through
+    /// [`engine_for_mode`]: a new engine with its own counter.
     #[must_use]
     pub fn build_engine(&self) -> Arc<dyn PolicyEngine> {
-        match self.mode {
-            PolicyMode::Escudo => {
-                if self.shard_count == 0 {
-                    Arc::new(EscudoEngine::with_cache_capacity(self.cache_capacity))
-                } else {
-                    Arc::new(EscudoEngine::with_shards(
-                        self.shard_count,
-                        self.cache_capacity,
-                    ))
-                }
-            }
-            PolicyMode::SameOriginOnly => Arc::new(SameOriginEngine::new()),
-        }
+        engine_for_mode(self.mode)
     }
 }
 
@@ -587,7 +555,7 @@ impl Tenant {
     }
 
     /// Hot policy reload with a fresh engine built from this tenant's own
-    /// configuration (new cache, new interner — a true policy epoch). Returns
+    /// configuration (a fresh engine and counter — a true policy epoch). Returns
     /// the retired generation.
     pub fn reload(&self) -> Arc<EngineGeneration> {
         self.handle.swap(self.config.build_engine())
@@ -825,14 +793,8 @@ mod tests {
     fn registry_routes_by_id_with_independent_engines() {
         let registry = TenantRegistry::new();
         assert!(registry.is_empty());
-        let a = registry.register("a", TenantConfig::default().with_cache_capacity(256));
-        let b = registry.register(
-            "b",
-            TenantConfig::default()
-                .with_cache_capacity(64)
-                .with_shards(4)
-                .with_admission(10, 100),
-        );
+        let a = registry.register("a", TenantConfig::default());
+        let b = registry.register("b", TenantConfig::default().with_admission(10, 100));
         assert_eq!(registry.len(), 2);
         assert_eq!(registry.get("a").unwrap().id(), "a");
         assert!(registry.get("ghost").is_none());
@@ -841,7 +803,7 @@ mod tests {
         let again = registry.register("a", TenantConfig::default());
         assert!(Arc::ptr_eq(&a, &again));
 
-        // Independent engines: deciding through A warms only A's cache.
+        // Independent engines: deciding through A counts only on A's engine.
         let (principal, object) = check_pair();
         a.handle()
             .current()
@@ -849,7 +811,6 @@ mod tests {
             .decide(&principal, &object, Operation::Read);
         assert_eq!(a.engine_stats().decisions, 1);
         assert_eq!(b.engine_stats().decisions, 0);
-        assert_eq!(b.config().cache_capacity, 64);
         assert_eq!(b.admission().stats().burst, 10);
 
         // Registry-level reload bumps only the named tenant's generation.
@@ -876,6 +837,5 @@ mod tests {
             .is_allowed());
         // The baseline's stats surface through the same path as Escudo's.
         assert_eq!(tenant.engine_stats().decisions, 1);
-        assert_eq!(tenant.engine_stats().cache_misses, 1);
     }
 }

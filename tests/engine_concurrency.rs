@@ -1,17 +1,15 @@
 //! Concurrency equivalence: 8 threads hammering one shared [`EscudoEngine`] with
 //! *overlapping* contexts must return decisions byte-identical to the
 //! single-threaded `escudo_core::policy::decide` oracle — for every thread, every
-//! check, every interleaving — and the engine's statistics must stay
-//! self-consistent while a concurrent reader watches them.
+//! check, every interleaving — and the engine's decision counter must stay exact
+//! while a concurrent reader watches it.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
 
 use escudo::core::context::{ObjectContext, ObjectKind, PrincipalContext, PrincipalKind};
-use escudo::core::{
-    decide, Acl, ContextInterner, EscudoEngine, Operation, Origin, PolicyEngine, PolicyMode, Ring,
-};
+use escudo::core::{decide, Acl, EscudoEngine, Operation, Origin, PolicyEngine, PolicyMode, Ring};
 
 const THREADS: usize = 8;
 const PASSES: usize = 20;
@@ -25,8 +23,7 @@ fn origins() -> Vec<Origin> {
 }
 
 /// A deliberately overlapping check set: every thread evaluates the same grid, so
-/// threads constantly race on interning the same contexts and on the same cache
-/// shards (first-touch interning, cache fills, hits and evictions all interleave).
+/// threads constantly decide the same context pairs at the same time.
 fn overlapping_checks() -> Vec<(PrincipalContext, ObjectContext, Operation)> {
     let mut checks = Vec::new();
     for (i, p_origin) in origins().iter().enumerate() {
@@ -96,34 +93,10 @@ fn eight_threads_match_the_single_threaded_oracle() {
         }
     });
 
-    // Post-run bookkeeping: every decision was counted, the split is exact, and the
-    // per-shard counters sum to the aggregates.
+    // Post-run bookkeeping: every decision was counted exactly once.
     let stats = engine.stats();
-    let total = (THREADS * PASSES * checks.len()) as u64;
-    assert_eq!(stats.decisions, total);
-    assert_eq!(stats.decisions, stats.cache_hits + stats.cache_misses);
-    assert!(stats.cache_hits <= stats.decisions);
-    assert_eq!(
-        stats.shards.iter().map(|s| s.hits).sum::<u64>(),
-        stats.cache_hits
-    );
-    assert_eq!(
-        stats.shards.iter().map(|s| s.misses).sum::<u64>(),
-        stats.cache_misses
-    );
-    // Distinct contexts were interned exactly once despite racing first touches.
-    assert_eq!(stats.interned_principals, 12);
-    assert_eq!(stats.interned_objects, 12);
-    // Steady state: after the first pass everything is a cache hit, so misses are a
-    // sliver of the total (no evictions at this working-set size).
-    assert_eq!(stats.evictions, 0);
-    // Racing threads may each record a first-touch miss for the same key before one
-    // of them fills it, so the bound is per-thread, not per-key.
-    assert!(
-        stats.cache_misses <= (checks.len() * THREADS) as u64,
-        "misses should be first-touch only: {stats:?}"
-    );
-    assert!(stats.hit_rate() > 0.9, "steady state: {stats:?}");
+    assert_eq!(stats.decisions, (THREADS * PASSES * checks.len()) as u64);
+    assert_eq!(stats.cache_hits, 0);
 }
 
 /// A fresh context pair no other storm participant shares unless given the same
@@ -138,97 +111,9 @@ fn storm_pair(tag: &str, index: usize) -> (PrincipalContext, ObjectContext) {
 }
 
 #[test]
-fn first_touch_storm_interns_densely_without_duplicates() {
-    // 8 threads × (overlapping + disjoint fresh contexts) against one lock-free
-    // interner: every thread must observe ONE dense id per key (losers adopt the
-    // winner's), no id may be burned by a lost claim, and a lookup immediately
-    // after an intern must hit.
-    const SHARED: usize = 48;
-    const DISJOINT: usize = 24;
-    let interner = ContextInterner::new();
-    let shared: Vec<_> = (0..SHARED).map(|i| storm_pair("shared", i)).collect();
-    let barrier = Barrier::new(THREADS);
-
-    let observed: Vec<Vec<(usize, u32, u32)>> = thread::scope(|scope| {
-        let handles: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let interner = &interner;
-                let shared = &shared;
-                let barrier = &barrier;
-                scope.spawn(move || {
-                    let own: Vec<_> = (0..DISJOINT)
-                        .map(|i| storm_pair(&format!("t{t}d"), i))
-                        .collect();
-                    barrier.wait();
-                    let mut seen = Vec::new();
-                    // Offset walks: threads hit the same shared keys at
-                    // different moments while the sets fully overlap.
-                    let offset = t * 11 % SHARED;
-                    for i in 0..SHARED {
-                        let idx = (offset + i) % SHARED;
-                        let (principal, object) = &shared[idx];
-                        let pid = interner.intern_principal(principal);
-                        let oid = interner.intern_object(object);
-                        // Lookup after intern always hits, mid-storm included.
-                        assert_eq!(interner.lookup_principal(principal), Some(pid));
-                        assert_eq!(interner.lookup_object(object), Some(oid));
-                        seen.push((idx, pid.index(), oid.index()));
-                    }
-                    for (principal, object) in &own {
-                        let pid = interner.intern_principal(principal);
-                        assert_eq!(interner.lookup_principal(principal), Some(pid));
-                        interner.intern_object(object);
-                    }
-                    seen
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("storm thread panicked"))
-            .collect()
-    });
-
-    // Dense: exactly the distinct population, despite every shared key being
-    // claimed by 8 racing threads.
-    let population = SHARED + THREADS * DISJOINT;
-    assert_eq!(interner.principal_count(), population);
-    assert_eq!(interner.object_count(), population);
-
-    // No duplicates: every thread resolved each shared key to the same id.
-    let mut principal_ids = vec![None; SHARED];
-    let mut object_ids = vec![None; SHARED];
-    for thread_view in &observed {
-        for &(idx, pid, oid) in thread_view {
-            assert!(
-                (pid as usize) < population,
-                "principal id out of dense range"
-            );
-            assert!((oid as usize) < population, "object id out of dense range");
-            match principal_ids[idx] {
-                None => principal_ids[idx] = Some(pid),
-                Some(expected) => {
-                    assert_eq!(pid, expected, "shared key {idx} got two principal ids")
-                }
-            }
-            match object_ids[idx] {
-                None => object_ids[idx] = Some(oid),
-                Some(expected) => assert_eq!(oid, expected, "shared key {idx} got two object ids"),
-            }
-        }
-    }
-    // The shared ids are distinct from one another (no two keys collapsed).
-    let mut unique: Vec<u32> = principal_ids.iter().map(|id| id.unwrap()).collect();
-    unique.sort_unstable();
-    unique.dedup();
-    assert_eq!(unique.len(), SHARED, "two shared principals shared an id");
-}
-
-#[test]
 fn first_touch_storm_decisions_match_the_oracle() {
-    // The storm seen through the full engine: 8 threads deciding over fresh
-    // overlapping + disjoint contexts (so interning, cache fills and decision
-    // computation all race on first touch). Every decision must be
+    // 8 threads deciding over fresh overlapping + disjoint contexts, each seen
+    // for the first time when the barrier drops. Every decision must be
     // byte-identical to the single-threaded `policy::decide` oracle.
     const SHARED: usize = 32;
     const DISJOINT: usize = 16;
@@ -259,55 +144,19 @@ fn first_touch_storm_decisions_match_the_oracle() {
         }
     });
 
-    let stats = engine.stats();
-    let population = (SHARED + THREADS * DISJOINT) as u64;
-    assert_eq!(stats.interned_principals, population);
-    assert_eq!(stats.interned_objects, population);
-    assert_eq!(stats.decisions, stats.cache_hits + stats.cache_misses);
     assert_eq!(
-        stats.decisions,
+        engine.stats().decisions,
         (THREADS * (SHARED + DISJOINT) * Operation::ALL.len()) as u64
     );
-    // The new observability counters are present and sane: depth is at least 1
-    // once anything is interned, and CAS retries only count genuine races.
-    assert!(stats.interner_max_bucket_depth >= 1);
-    assert!(stats.interner_cas_retries <= stats.decisions);
-}
-
-#[test]
-fn decide_many_is_oracle_identical_under_concurrency() {
-    let engine = Arc::new(EscudoEngine::new());
-    let checks = overlapping_checks();
-    let expected: Vec<_> = checks
-        .iter()
-        .map(|(p, o, op)| decide(PolicyMode::Escudo, p, o, *op))
-        .collect();
-
-    thread::scope(|scope| {
-        for _ in 0..4 {
-            let engine = Arc::clone(&engine);
-            let checks = &checks;
-            let expected = &expected;
-            scope.spawn(move || {
-                let batch: Vec<(&PrincipalContext, &ObjectContext, Operation)> =
-                    checks.iter().map(|(p, o, op)| (p, o, *op)).collect();
-                for _ in 0..5 {
-                    assert_eq!(&engine.decide_many(&batch), expected);
-                }
-            });
-        }
-    });
-    assert_eq!(engine.stats().decisions, (4 * 5 * checks.len()) as u64);
 }
 
 #[test]
 fn stats_snapshots_stay_consistent_while_deciders_run() {
-    // A tiny sharded cache under heavy churn: evictions fire constantly while a
-    // dedicated reader thread takes snapshots. Every snapshot must satisfy the
-    // self-consistency contract — this is the regression test for the old engine,
-    // where `hits`/`decisions` were bumped separately after the lock was dropped and
-    // a reader could observe `hits > decisions`.
-    let engine = Arc::new(EscudoEngine::with_shards(4, 64));
+    // Four deciders while a dedicated reader thread takes snapshots. Every
+    // snapshot must be a count the deciders could have reached: never behind an
+    // earlier snapshot, never past the workers' quota, and never a cache hit.
+    let engine = Arc::new(EscudoEngine::new());
+    let quota = (4 * 10 * overlapping_checks().len()) as u64;
     let checks = overlapping_checks();
     let stop = AtomicBool::new(false);
 
@@ -330,21 +179,13 @@ fn stats_snapshots_stay_consistent_while_deciders_run() {
         let stop = &stop;
         let reader = scope.spawn(move || {
             let mut snapshots = 0u64;
+            let mut last = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 let stats = reader_engine.stats();
-                assert!(
-                    stats.cache_hits <= stats.decisions,
-                    "snapshot shows more hits than decisions: {stats:?}"
-                );
-                assert_eq!(
-                    stats.decisions,
-                    stats.cache_hits + stats.cache_misses,
-                    "snapshot decisions must be the exact hit/miss sum: {stats:?}"
-                );
-                assert_eq!(
-                    stats.shards.iter().map(|s| s.hits).sum::<u64>(),
-                    stats.cache_hits
-                );
+                assert!(stats.decisions >= last, "counter went backwards: {stats:?}");
+                assert!(stats.decisions <= quota, "counter overshot: {stats:?}");
+                assert_eq!(stats.cache_hits, 0);
+                last = stats.decisions;
                 snapshots += 1;
             }
             snapshots
@@ -354,7 +195,7 @@ fn stats_snapshots_stay_consistent_while_deciders_run() {
         // once the workers' quota is reached (with a generous timeout escape so a
         // failing worker can surface its panic instead of hanging the test).
         for _ in 0..6000 {
-            if engine.stats().decisions >= (4 * 10 * checks.len()) as u64 {
+            if engine.stats().decisions >= quota {
                 break;
             }
             std::thread::sleep(std::time::Duration::from_millis(10));
@@ -364,17 +205,10 @@ fn stats_snapshots_stay_consistent_while_deciders_run() {
         assert!(snapshots > 0, "the reader should have observed snapshots");
     });
 
-    // The tiny cache must have churned: evictions happened, yet every decision above
-    // matched the oracle and the final books balance.
-    let stats = engine.stats();
-    assert!(
-        stats.evictions > 0,
-        "64-slot cache under a 432-key workload must evict"
-    );
-    assert_eq!(stats.decisions, stats.cache_hits + stats.cache_misses);
+    assert_eq!(engine.stats().decisions, quota);
 }
 
-/// ISSUE 7's hot-reload storm: 8 threads stream `decide_many` plans through a
+/// The hot-reload storm: 8 threads stream mediation plans through a
 /// tenant's generation-swapped [`EngineHandle`] while the control plane swaps
 /// the engine between the ESCUDO and same-origin generations mid-flight.
 ///
@@ -417,12 +251,15 @@ fn generation_swaps_mid_flight_never_tear_a_plan_and_never_leak() {
                 // refresh at the plan boundary, decide the whole batch on the
                 // pinned engine, never mid-plan.
                 let mut reader = EngineReader::new(tenant.handle().clone());
-                let refs: Vec<_> = checks.iter().map(|(p, o, op)| (p, o, *op)).collect();
                 barrier.wait();
                 for pass in 0..PASSES {
                     let generation = Arc::clone(reader.refresh());
-                    let observed = generation.engine().decide_many(&refs);
-                    assert_eq!(observed.len(), refs.len(), "dropped decisions");
+                    let engine = generation.engine();
+                    let observed: Vec<Decision> = checks
+                        .iter()
+                        .map(|(p, o, op)| engine.decide(p, o, *op))
+                        .collect();
+                    assert_eq!(observed.len(), checks.len(), "dropped decisions");
                     assert!(
                         observed == *escudo_oracle || observed == *sop_oracle,
                         "pass {pass} tore across generations: plan matches neither \

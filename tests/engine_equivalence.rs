@@ -1,16 +1,15 @@
-//! Engine/decide equivalence: the pluggable engines must return **byte-identical**
-//! decisions to the `escudo_core::policy::decide` free function, cached or not.
+//! Engine/decide equivalence: the pluggable engines, and the reference monitor's
+//! batch path above them, must return **byte-identical** decisions to the
+//! `escudo_core::policy::decide` free function.
 //!
 //! The grid is exhaustive over rings 0..=3 for principal and object, every
 //! `Operation`, same- and cross-origin pairs, a spread of ACL variants, and both
 //! principal exemption cases (script vs browser chrome).
 
-use std::sync::Arc;
-
+use escudo::browser::Erm;
 use escudo::core::context::{ObjectContext, ObjectKind, PrincipalContext, PrincipalKind};
 use escudo::core::{
-    decide, engine_for_mode, Acl, EscudoEngine, Operation, Origin, PolicyEngine, PolicyMode, Ring,
-    SameOriginEngine,
+    decide, Acl, EscudoEngine, Operation, Origin, PolicyEngine, PolicyMode, Ring, SameOriginEngine,
 };
 
 fn site() -> Origin {
@@ -63,42 +62,21 @@ fn grid() -> Vec<(PrincipalContext, ObjectContext, Operation)> {
 }
 
 #[test]
-fn escudo_engine_matches_decide_cold_and_cached() {
+fn uncached_escudo_engine_matches_decide() {
     let engine = EscudoEngine::new();
     let grid = grid();
     // 4 principal rings × 4 object rings × 9 ACLs × 2 origins × 2 kinds × 3 ops.
     assert_eq!(grid.len(), 1728);
     for (principal, object, op) in &grid {
-        let expected = decide(PolicyMode::Escudo, principal, object, *op);
-        // Cold (first touch) …
-        assert_eq!(
-            engine.decide(principal, object, *op),
-            expected,
-            "cold mismatch: {principal} / {object} / {op}"
-        );
-        // … and cached (second touch) must be byte-identical.
-        assert_eq!(
-            engine.decide(principal, object, *op),
-            expected,
-            "cached mismatch: {principal} / {object} / {op}"
-        );
-    }
-    let stats = engine.stats();
-    assert_eq!(stats.decisions, 2 * grid.len() as u64);
-    assert!(stats.cache_hits >= grid.len() as u64);
-}
-
-#[test]
-fn uncached_escudo_engine_matches_decide() {
-    let engine = EscudoEngine::with_cache_capacity(0);
-    for (principal, object, op) in &grid() {
         assert_eq!(
             engine.decide(principal, object, *op),
             decide(PolicyMode::Escudo, principal, object, *op),
-            "uncached mismatch: {principal} / {object} / {op}"
+            "mismatch: {principal} / {object} / {op}"
         );
     }
-    assert_eq!(engine.stats().cache_hits, 0);
+    let stats = engine.stats();
+    assert_eq!(stats.decisions, grid.len() as u64);
+    assert_eq!(stats.cache_hits, 0);
 }
 
 #[test]
@@ -114,13 +92,12 @@ fn same_origin_engine_matches_same_origin_mode() {
 }
 
 #[test]
-fn decide_many_matches_decide_for_the_whole_grid() {
+fn erm_check_many_matches_decide_for_the_whole_grid() {
     let grid = grid();
     let batch: Vec<(&PrincipalContext, &ObjectContext, Operation)> =
         grid.iter().map(|(p, o, op)| (p, o, *op)).collect();
     for mode in [PolicyMode::Escudo, PolicyMode::SameOriginOnly] {
-        let engine: Arc<dyn PolicyEngine> = engine_for_mode(mode);
-        let decisions = engine.decide_many(&batch);
+        let decisions = Erm::new(mode).without_audit().check_many(&batch);
         assert_eq!(decisions.len(), grid.len());
         for ((principal, object, op), got) in grid.iter().zip(&decisions) {
             assert_eq!(*got, decide(mode, principal, object, *op));
