@@ -8,8 +8,9 @@
 //!
 //! * **lane gate** — p99 navigation latency while N sibling sessions flood the
 //!   same fabric with bulk image batches must stay within **2×** the unloaded
-//!   p99. The two-lane queue (navigation tickets jump the bulk backlog, bulk
-//!   drains yield at request boundaries) is what holds this; on a host without
+//!   p99. Lane priority (a free worker claims navigation tickets ahead of the
+//!   bulk backlog) and the anti-starvation credit (one bulk ticket per
+//!   `NAVIGATION_CREDIT` navigation pops) are what hold this; on a host without
 //!   two hardware threads the storm and the navigator timeshare one core and
 //!   the ratio measures the OS scheduler, not the lanes, so the gate degrades
 //!   to observability with the reason printed,
@@ -62,15 +63,14 @@ fn main() {
     let storm = run_navigation_storm_best_of(bulk_sessions, navigations, 3);
     println!(
         "navigation p99 (best of {}): {} ns unloaded (±{}), {} ns under a {}-session bulk \
-         storm (±{}) — {:.2}x, {} lane preemptions",
+         storm (±{}) — {:.2}x",
         storm.repeats,
         storm.unloaded_p99_ns,
         storm.unloaded_p99_spread_ns,
         storm.loaded_p99_ns,
         storm.bulk_sessions,
         storm.loaded_p99_spread_ns,
-        storm.p99_ratio(),
-        storm.preemptions
+        storm.p99_ratio()
     );
     let hardware_threads =
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
@@ -80,7 +80,6 @@ fn main() {
         .int("nav_loaded_p99_ns_spread", storm.loaded_p99_spread_ns)
         .num("nav_p99_ratio", storm.p99_ratio())
         .num("nav_p99_ratio_spread", storm.ratio_spread)
-        .int("storm_preemptions", storm.preemptions)
         .int("hardware_threads", hardware_threads as u64);
     if hardware_threads < 2 {
         println!(
@@ -95,7 +94,7 @@ fn main() {
     } else {
         eprintln!(
             "FAIL: navigation p99 degraded {:.2}x under the bulk storm (gate: ≤ \
-             {MAX_LOADED_P99_RATIO:.1}x) — the navigation lane is not preempting bulk work",
+             {MAX_LOADED_P99_RATIO:.1}x) — navigation tickets are not jumping the bulk backlog",
             storm.p99_ratio()
         );
         failed = true;

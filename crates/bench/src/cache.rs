@@ -359,7 +359,7 @@ pub fn run_cache_isolation(threads: usize, rounds: usize) -> CacheIsolationRepor
         rounds,
         violations,
         cache_hits,
-        stale_discards: fabric.prefetch_stale_discards(),
+        stale_discards: fabric.cache_stale_discards(),
     }
 }
 

@@ -29,7 +29,7 @@ use escudo_apps::{AdServer, NewsSite};
 use escudo_browser::{Browser, PolicyMode};
 use escudo_core::ManualClock;
 use escudo_net::{
-    BreakerPhase, FaultPlan, FetchPolicy, LoggedRequest, Request, Response, SharedNetwork,
+    BreakerPhase, Dispatch, FaultPlan, FetchPolicy, LoggedRequest, Request, Response, SharedNetwork,
 };
 
 /// Every origin a registry scenario registers a server on. Fault plans are
@@ -332,25 +332,32 @@ pub fn run_breaker_drill() -> BreakerDrillReport {
     }
     let ping = || Request::get("http://flaky.example/ping").expect("drill request URL");
     let flaky_origin = ping().url.origin();
+    let send = |request: Request, policy: FetchPolicy| {
+        let how = Dispatch {
+            policy,
+            ..Dispatch::default()
+        };
+        fabric.send(request, how)
+    };
 
     // --- Closed → Open: three consecutive timeouts trip the breaker.
     fabric.inject_fault("http://flaky.example", FaultPlan::new().timeout());
     let breaker = FetchPolicy::disabled().with_breaker(3, 1_000_000_000);
     for _ in 0..3 {
-        let _ = fabric.dispatch_with_policy(ping(), &breaker);
+        let _ = send(ping(), breaker);
     }
     let opened = fabric.breaker_phase(&flaky_origin) == Some(BreakerPhase::Open);
 
     // --- Open: dispatches fail fast without touching the (sick) origin.
     for _ in 0..2 {
-        let _ = fabric.dispatch_with_policy(ping(), &breaker);
+        let _ = send(ping(), breaker);
     }
 
     // --- HalfOpen → Closed: cooldown elapses on the manual clock, the origin
     // heals, and the single admitted probe re-closes the breaker.
     clock.advance(Duration::from_secs(1));
     fabric.clear_fault("http://flaky.example");
-    let _ = fabric.dispatch_with_policy(ping(), &breaker);
+    let _ = send(ping(), breaker);
     let reclosed = fabric.breaker_phase(&flaky_origin) == Some(BreakerPhase::Closed);
 
     // --- Retry budget exactness: two leading timeouts, two retries, success.
@@ -358,18 +365,18 @@ pub fn run_breaker_drill() -> BreakerDrillReport {
     let retrying = FetchPolicy::disabled()
         .with_max_retries(2)
         .with_backoff_base_ns(1_000);
-    let _ = fabric.dispatch_with_policy(
+    let _ = send(
         Request::get("http://retry.example/r").expect("drill request URL"),
-        &retrying,
+        retrying,
     );
 
     // --- Deadline exactness: backoff 1000 fits under the 3000ns deadline
     // (one retry granted), backoff 1000+2000 reaches it (refused).
     fabric.inject_fault("http://deadline.example", FaultPlan::new().timeout());
     let bounded = retrying.with_max_retries(5).with_deadline_ns(3_000);
-    let _ = fabric.dispatch_with_policy(
+    let _ = send(
         Request::get("http://deadline.example/d").expect("drill request URL"),
-        &bounded,
+        bounded,
     );
 
     BreakerDrillReport {

@@ -5,9 +5,9 @@
 //!
 //! * [`run_navigation_storm`] — one navigation-heavy session measures p99 page
 //!   latency while N sibling sessions flood the **same** fabric's worker pool
-//!   with bulk image batches. The two-lane queue (navigation tickets jump the
-//!   bulk backlog, bulk drains yield at request boundaries) is what keeps the
-//!   loaded p99 within a small factor of the unloaded baseline.
+//!   with bulk image batches. Lane priority (navigation tickets jump the bulk
+//!   backlog) and the anti-starvation credit are what keep the loaded p99
+//!   within a small factor of the unloaded baseline.
 //! * [`run_prefetch_speedup`] — a hub page carries `rel=prefetch` markup for
 //!   the next page; with speculation enabled the repeat navigation is served
 //!   from the prefetch cache and skips the origin's simulated latency
@@ -92,9 +92,6 @@ pub struct NavStormReport {
     pub loaded_p99_spread_ns: u64,
     /// Max-minus-min spread of the per-repeat loaded/unloaded ratios.
     pub ratio_spread: f64,
-    /// Bulk tickets parked mid-drain to serve queued navigation work during
-    /// the loaded runs — the witness that the priority lanes actually engaged.
-    pub preemptions: u64,
 }
 
 impl NavStormReport {
@@ -126,7 +123,7 @@ fn p99_ns(samples: &mut [u64]) -> u64 {
 /// Panics if any page load fails; the workload is deterministic.
 #[must_use]
 pub fn run_navigation_storm(bulk_sessions: usize, navigations: usize) -> NavStormReport {
-    let measure = |storm_sessions: usize| -> (u64, u64) {
+    let measure = |storm_sessions: usize| -> u64 {
         let fabric = Arc::new(SharedNetwork::new());
         register_nav_world(&fabric, "nav.example");
         for t in 0..storm_sessions {
@@ -172,11 +169,11 @@ pub fn run_navigation_storm(bulk_sessions: usize, navigations: usize) -> NavStor
             }
             stop.store(true, Ordering::Release);
         });
-        (p99_ns(&mut latencies), fabric.fetch_pool_preemptions())
+        p99_ns(&mut latencies)
     };
 
-    let (unloaded_p99_ns, _) = measure(0);
-    let (loaded_p99_ns, preemptions) = measure(bulk_sessions);
+    let unloaded_p99_ns = measure(0);
+    let loaded_p99_ns = measure(bulk_sessions);
     NavStormReport {
         bulk_sessions,
         navigations,
@@ -186,7 +183,6 @@ pub fn run_navigation_storm(bulk_sessions: usize, navigations: usize) -> NavStor
         loaded_p99_ns,
         loaded_p99_spread_ns: 0,
         ratio_spread: 0.0,
-        preemptions,
     }
 }
 
@@ -218,7 +214,6 @@ pub fn run_navigation_storm_best_of(
         max_loaded = max_loaded.max(next.loaded_p99_ns);
         report.unloaded_p99_ns = report.unloaded_p99_ns.min(next.unloaded_p99_ns);
         report.loaded_p99_ns = report.loaded_p99_ns.min(next.loaded_p99_ns);
-        report.preemptions = report.preemptions.max(next.preemptions);
     }
     report.unloaded_p99_spread_ns = max_unloaded - report.unloaded_p99_ns;
     report.loaded_p99_spread_ns = max_loaded - report.loaded_p99_ns;
@@ -495,7 +490,7 @@ pub fn run_prefetch_sessions(threads: usize, rounds: usize) -> PrefetchIsolation
         sessions: threads,
         requests: log.len(),
         prefetch_hits,
-        stale_discards: fabric.prefetch_stale_discards(),
+        stale_discards: fabric.cache_stale_discards(),
         ..PrefetchIsolationReport::default()
     };
     for t in 0..threads {

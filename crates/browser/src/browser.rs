@@ -1,7 +1,7 @@
 //! The browser: navigation, script execution, request issuance, event dispatch,
 //! history and visited links.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -12,8 +12,8 @@ use escudo_core::{
 };
 use escudo_dom::EventType;
 use escudo_net::{
-    BackgroundBatch, CacheLayers, FetchPolicy, Method, Network, Priority, Request, Response,
-    SharedCookieJar, SharedNetwork, Url,
+    CacheLayers, Dispatch, FetchPolicy, Method, Network, PlanHandle, Priority, Request, Response,
+    Sequence, Served, SharedCookieJar, SharedNetwork, Url,
 };
 use escudo_script::Interpreter;
 
@@ -32,26 +32,10 @@ pub struct PageId(usize);
 /// Default bound on the pipelined subresource loader's worker pool. Page loads
 /// with a single planned subresource (or a bound of 1) dispatch inline on the
 /// navigating thread — that inline path *is* the sequential oracle the
-/// `loader_concurrent` bench compares against.
+/// `loader_concurrent` bench compares against. The fabric also runs a lane
+/// inline when its origins are too fast for fanning out to pay
+/// ([`SharedNetwork::send_plan`]).
 pub const DEFAULT_SUBRESOURCE_WORKERS: usize = 4;
-
-/// Estimated total fetch cost (in nanoseconds) below which the loader dispatches
-/// its plan inline instead of fanning out. The estimate comes from the fabric's
-/// per-origin service-time model ([`SharedNetwork::estimated_service_ns`]:
-/// configured simulated latency or the observed dispatch-time EWMA, whichever is
-/// larger), so slow origins — simulated or genuinely expensive handlers — engage
-/// the pipeline and fast in-memory ones keep the sequential fast path.
-///
-/// The threshold was 300µs when fanning out meant *spawning* scoped threads
-/// (tens of microseconds per worker per page). Fan-out now submits the
-/// pre-mediated plan to the fabric's **persistent parked worker pool**
-/// ([`SharedNetwork::dispatch_batch`]) — a queue push and a condvar notify — so
-/// the machinery pays for itself on much cheaper pages and the cutover dropped
-/// to 150µs.
-const SUBRESOURCE_FANOUT_THRESHOLD_NS: u64 = 150_000;
-
-/// Per-slot result of a subresource plan dispatch: `(status, error, retries)`.
-type SlotOutcome = (Option<u16>, Option<String>, u32);
 
 /// Bound on the speculative fetches one page load may submit to the background
 /// lane (markup `rel=prefetch` hints first, then visited-link predictions).
@@ -552,8 +536,9 @@ impl Browser {
         // HTTP-request-issuing principals.
         self.load_subresources(&mut page);
 
-        // Harvest the speculative responses into the fabric's prefetch cache.
-        let (issued, _) = self.finish_prefetch(speculation);
+        // Join the speculation; the fabric parked its responses as one-shot
+        // cache entries.
+        let (issued, _) = Browser::finish_prefetch(speculation);
         page.stats.prefetch_issued = issued;
         page.stats.prefetch_hit = self.prefetch_hits > prefetch_hits_before;
 
@@ -575,6 +560,12 @@ impl Browser {
 
     /// Issues one HTTP request with policy-mediated cookie attachment and stores any
     /// cookies (and cookie policies) the response carries.
+    ///
+    /// Each opt-in unlocks exactly its own cache layer: speculation serves
+    /// one-shot prefetch entries, the response cache serves (and fills)
+    /// persistent `max-age` entries. The fabric serves a hit only under this
+    /// request's own mediated `Cookie` header and logs it exactly as the wire
+    /// dispatch it replaces.
     fn fetch(
         &mut self,
         url: Url,
@@ -590,38 +581,21 @@ impl Browser {
                 .set("Content-Type", "application/x-www-form-urlencoded");
         }
         self.attach_cookies(&mut request, principal, None);
-        let cacheable = method == Method::Get && request.body.is_empty();
-        let cookie_header = request.headers.get("Cookie").unwrap_or("").to_string();
-        let (response, from_cache) = match self.take_cached_response(&request) {
-            Some(response) => (response, true),
-            None => {
-                let fetched = self
-                    .network
-                    .fabric()
-                    .dispatch_with_policy(request, &self.fetch_policy)?;
-                let response = Arc::new(fetched);
-                if self.response_cache_enabled
-                    && cacheable
-                    && response.status.is_success()
-                    && !response.headers.cache_no_store()
-                    && response.headers.get("Set-Cookie").is_none()
-                    && response.headers.cache_max_age().is_some()
-                {
-                    self.network.fabric().cache_store(
-                        Method::Get,
-                        &url,
-                        &cookie_header,
-                        (*response).clone(),
-                        false,
-                    );
-                }
-                (response, false)
-            }
+        let how = Dispatch {
+            policy: self.fetch_policy,
+            cache: CacheLayers {
+                one_shot: self.prefetch_enabled,
+                persistent: self.response_cache_enabled,
+            },
+            ..Dispatch::default()
         };
+        let outcome = self.network.fabric().send(request, how);
+        let response = outcome.result?;
+        self.count_hit(outcome.served);
         // `Set-Cookie` is applied only when the response came off the wire: the
         // cache refuses Set-Cookie-bearing responses outright, and a hit must
         // never be able to write another session's credential into this jar.
-        if !from_cache {
+        if outcome.served == Served::Wire {
             for directive in response.set_cookies() {
                 self.jar.store(&url, &directive);
             }
@@ -632,41 +606,28 @@ impl Browser {
         Ok(response)
     }
 
-    /// Serves `request` from the fabric's response cache if this session opted
-    /// into speculation or caching, the request is a cacheable fetch (`GET`, no
-    /// body), and the cached entry's mediation plan — the exact `Cookie` header
-    /// the reference monitor admitted — matches this request's. Each opt-in
-    /// unlocks exactly its own layer: speculation serves one-shot prefetch
-    /// entries, the response cache serves persistent `max-age` entries, and an
-    /// entry in a layer this session did not opt into is an ordinary miss. On a
-    /// hit the fetch is *not* re-dispatched; instead the hit is recorded in the
-    /// request log under a freshly reserved sequence number, byte-identical to
-    /// what a live dispatch would have logged, so cache-on and cache-off runs
-    /// stay log-equivalent — and the returned `Arc` is a refcount bump, not a
-    /// body clone. A stale plan or expired TTL discards the entry and falls
-    /// back to a live fetch (`None`).
-    fn take_cached_response(&mut self, request: &Request) -> Option<Arc<Response>> {
-        let layers = CacheLayers {
-            one_shot: self.prefetch_enabled,
-            persistent: self.response_cache_enabled,
-        };
-        if (!layers.one_shot && !layers.persistent)
-            || request.method != Method::Get
-            || !request.body.is_empty()
-        {
-            return None;
+    /// Counts a fetch the fabric served from the cache against this session.
+    fn count_hit(&mut self, served: Served) {
+        match served {
+            Served::Cache => self.cache_hits += 1,
+            Served::OneShot => self.prefetch_hits += 1,
+            Served::Wire | Served::Coalesced => {}
         }
-        let fabric = Arc::clone(self.network.fabric());
-        let cookie_header = request.headers.get("Cookie").unwrap_or("").to_string();
-        let hit = fabric.cache_lookup(Method::Get, &request.url, &cookie_header, layers)?;
-        let sequence = fabric.reserve_sequences(1);
-        fabric.record_cache_hit(sequence, request, hit.response.status.0);
-        if hit.one_shot {
-            self.prefetch_hits += 1;
-        } else {
-            self.cache_hits += 1;
+    }
+
+    /// How script-initiated XHR travels: the session's policy, and the
+    /// persistent cache layer when the session opted in (one-shot prefetch
+    /// entries are reserved for the navigation speculation predicted).
+    fn xhr_dispatch(&self) -> Dispatch {
+        Dispatch {
+            policy: self.fetch_policy,
+            cache: if self.response_cache_enabled {
+                CacheLayers::PERSISTENT
+            } else {
+                CacheLayers::default()
+            },
+            ..Dispatch::default()
         }
-        Some(hit.response)
     }
 
     fn remember_cookie_policy(&mut self, host: &str, policy: CookiePolicy) {
@@ -747,6 +708,7 @@ impl Browser {
                 .contexts
                 .script_principal(unit.node, &format!("script in {}", unit.ring));
             let mode = self.erm.mode();
+            let xhr = self.xhr_dispatch();
             let outcome = {
                 let mut host = BrowserHost::new(
                     mode,
@@ -758,8 +720,7 @@ impl Browser {
                     self.history.len(),
                     page.url.clone(),
                     principal,
-                    self.fetch_policy,
-                    self.response_cache_enabled,
+                    xhr,
                 );
                 let mut interpreter = Interpreter::new(&mut host);
                 let result = interpreter.run(&unit.source);
@@ -840,6 +801,7 @@ impl Browser {
         };
         let ring = principal.ring;
         let mode = self.erm.mode();
+        let xhr = self.xhr_dispatch();
         let outcome = {
             let mut host = BrowserHost::new(
                 mode,
@@ -851,8 +813,7 @@ impl Browser {
                 self.history.len(),
                 page.url.clone(),
                 principal,
-                self.fetch_policy,
-                self.response_cache_enabled,
+                xhr,
             );
             let mut interpreter = Interpreter::new(&mut host);
             match interpreter.run(&source) {
@@ -898,7 +859,7 @@ impl Browser {
             return false;
         }
         let speculation = self.submit_speculative(vec![url]);
-        let (_, stored) = self.finish_prefetch(speculation);
+        let (_, stored) = Browser::finish_prefetch(speculation);
         stored > 0
     }
 
@@ -939,8 +900,8 @@ impl Browser {
     }
 
     /// Plans and submits this page's speculative fetches (when enabled),
-    /// returning the in-flight background batch and its cache keys.
-    fn begin_prefetch(&mut self, page: &Page) -> Option<(BackgroundBatch, Vec<(Url, String)>)> {
+    /// returning the in-flight background plan.
+    fn begin_prefetch(&mut self, page: &Page) -> Option<PlanHandle> {
         if !self.prefetch_enabled {
             return None;
         }
@@ -954,61 +915,47 @@ impl Browser {
     /// the same reference-monitor path — so speculation is itself fully
     /// mediated, and the attached `Cookie` header becomes the cache key the
     /// real navigation's plan is later validated against.
-    fn submit_speculative(
-        &mut self,
-        candidates: Vec<Url>,
-    ) -> Option<(BackgroundBatch, Vec<(Url, String)>)> {
+    fn submit_speculative(&mut self, candidates: Vec<Url>) -> Option<PlanHandle> {
         if candidates.is_empty() {
             return None;
         }
-        let mut requests = Vec::with_capacity(candidates.len());
-        let mut keys = Vec::with_capacity(candidates.len());
-        for url in candidates {
-            let principal = PrincipalContext::browser(url.origin());
-            let mut request = Request::new(Method::Get, url.clone());
-            self.attach_cookies(&mut request, &principal, None);
-            let cookie_header = request.headers.get("Cookie").unwrap_or("").to_string();
-            keys.push((url, cookie_header));
-            requests.push(request);
-        }
-        let parallelism = keys.len().min(2);
-        let fabric = Arc::clone(self.network.fabric());
+        let plan: Vec<(Request, Priority)> = candidates
+            .into_iter()
+            .map(|url| {
+                let principal = PrincipalContext::browser(url.origin());
+                let mut request = Request::new(Method::Get, url);
+                self.attach_cookies(&mut request, &principal, None);
+                (request, Priority::Background)
+            })
+            .collect();
+        let parallelism = plan.len().min(2);
         // Speculation spends the session's own retry budget: a transiently
-        // faulted prefetch may still land in the cache. The batch stays on the
+        // faulted prefetch may still land in the cache. The plan stays on the
         // background lane and stays unlogged either way, so retrying here can
         // never perturb the request-log oracle.
-        let batch =
-            fabric.submit_background_batch_with_policy(requests, parallelism, &self.fetch_policy);
-        Some((batch, keys))
+        let how = Dispatch {
+            sequence: Sequence::Unlogged,
+            policy: self.fetch_policy,
+            cache: CacheLayers::ONE_SHOT,
+        };
+        Some(self.network.fabric().send_plan(plan, how, parallelism))
     }
 
-    /// Joins an in-flight speculative batch and stores the successful responses
-    /// in the fabric's prefetch cache. Returns `(issued, stored)` counts.
+    /// Joins an in-flight speculative plan, whose responses the fabric parked
+    /// as one-shot cache entries. Returns `(issued, stored)` counts.
     ///
     /// `Set-Cookie` directives on a speculative response are *never* applied —
     /// speculation must not mutate session state, and the shared cache refuses
     /// Set-Cookie-bearing responses outright (per-recipient state must not be
     /// shared across sessions), so such a speculation is simply dropped and the
     /// real navigation pays the wire cost.
-    fn finish_prefetch(
-        &mut self,
-        speculation: Option<(BackgroundBatch, Vec<(Url, String)>)>,
-    ) -> (u64, u64) {
-        let Some((batch, keys)) = speculation else {
+    fn finish_prefetch(speculation: Option<PlanHandle>) -> (u64, u64) {
+        let Some(plan) = speculation else {
             return (0, 0);
         };
-        let issued = keys.len() as u64;
-        let results = batch.join();
-        let fabric = Arc::clone(self.network.fabric());
-        let mut stored = 0;
-        for ((url, cookie_header), result) in keys.into_iter().zip(results) {
-            if let Ok(response) = result {
-                if fabric.store_prefetched(&url, &cookie_header, response) {
-                    stored += 1;
-                }
-            }
-        }
-        (issued, stored)
+        let outcomes = plan.join();
+        let stored = outcomes.iter().filter(|outcome| outcome.stored).count();
+        (outcomes.len() as u64, stored as u64)
     }
 
     // ------------------------------------------------------------- subresources
@@ -1030,14 +977,15 @@ impl Browser {
     ///    request's cookie attachment (one jar walk per distinct URL, one engine
     ///    batch per page). No fetch has been dispatched yet, so no completion
     ///    order — and no scheduling decision — can influence a decision.
-    /// 2. **Fan out** — the already-mediated critical requests are submitted to
-    ///    the fabric's persistent worker pool at [`Priority::Navigation`], then
-    ///    the image requests at [`Priority::Bulk`] (the navigating thread
-    ///    drains each batch alongside the ticketed pool workers, so it is
-    ///    still worker 0), each under a sequence number pre-reserved in plan
-    ///    order. Outcomes come back in plan index order, so
-    ///    [`Page::subresources`] and the sequence-sorted request log both read
-    ///    in plan order regardless of which fetch finished first.
+    /// 2. **Fan out** — the already-mediated plan goes to the fabric in one
+    ///    [`SharedNetwork::send_plan`] call: critical requests on
+    ///    [`Priority::Navigation`], images on [`Priority::Bulk`], each slot
+    ///    under a sequence number reserved in plan order. The fabric serves
+    ///    cache hits, single-flights duplicates and fans each lane out over its
+    ///    worker pool, the navigating thread draining alongside. Outcomes come
+    ///    back in plan order, so [`Page::subresources`] and the sequence-sorted
+    ///    request log both read in plan order regardless of which fetch
+    ///    finished first.
     fn load_subresources(&mut self, page: &mut Page) {
         use crate::page::SubresourceKind;
 
@@ -1096,195 +1044,44 @@ impl Browser {
         );
         page.stats.subresource_denials = self.erm.denials() - denials_before;
 
-        let requests: Vec<Request> = planned
+        // ------------------------------------------------------------- phase 2
+        let plan: Vec<(Request, Priority)> = planned
             .iter()
             .zip(&attachments)
-            .map(|((_, url, _, _), attached)| {
+            .map(|((_, url, _, kind), attached)| {
                 let mut request = Request::new(Method::Get, url.clone());
                 if !attached.is_empty() {
                     request.headers.set("Cookie", attached.join("; "));
                 }
-                request
+                let lane = match kind {
+                    SubresourceKind::Critical => Priority::Navigation,
+                    SubresourceKind::Image => Priority::Bulk,
+                };
+                (request, lane)
             })
             .collect();
-
-        // ------------------------------------------------------------- phase 2
-        let fabric = Arc::clone(self.network.fabric());
-        let count = requests.len();
-        let critical_count = planned
-            .iter()
-            .filter(|(_, _, _, kind)| *kind == SubresourceKind::Critical)
-            .count();
-        let base = fabric.reserve_sequences(count as u64);
+        let count = plan.len();
+        // A cache-enabled session serves fresh mediation-matching entries
+        // (one-shot ones too when it speculates) and single-flights duplicate
+        // slots; a default session takes the bare dispatch path.
+        let how = Dispatch {
+            policy: self.fetch_policy,
+            cache: if self.response_cache_enabled {
+                CacheLayers {
+                    one_shot: self.prefetch_enabled,
+                    persistent: true,
+                }
+            } else {
+                CacheLayers::default()
+            },
+            ..Dispatch::default()
+        };
         let start = Instant::now();
-        let policy = self.fetch_policy;
-
-        // Per-slot outcomes in plan order.
-        let mut outcomes: Vec<Option<SlotOutcome>> = vec![None; count];
-
-        // Cache consult + single-flight planning (cache-enabled sessions only;
-        // a default session takes the exact pre-cache dispatch path). A fresh
-        // mediation-matching cache entry serves its slot outright, logged under
-        // the slot's own pre-reserved sequence; among the remaining misses,
-        // later slots repeating an earlier slot's (URL, mediated `Cookie`
-        // header) ride that slot's single dispatch instead of their own.
-        let mut primary_of: Vec<Option<usize>> = vec![None; count];
-        if self.response_cache_enabled {
-            let layers = CacheLayers {
-                one_shot: self.prefetch_enabled,
-                persistent: true,
-            };
-            let mut first_slot: HashMap<(String, String), usize> = HashMap::new();
-            for (i, request) in requests.iter().enumerate() {
-                let cookie_header = request.headers.get("Cookie").unwrap_or("").to_string();
-                if let Some(hit) =
-                    fabric.cache_lookup(Method::Get, &request.url, &cookie_header, layers)
-                {
-                    fabric.record_cache_hit(base + i as u64, request, hit.response.status.0);
-                    if hit.one_shot {
-                        self.prefetch_hits += 1;
-                    } else {
-                        self.cache_hits += 1;
-                    }
-                    outcomes[i] = Some((Some(hit.response.status.0), None, 0));
-                    continue;
-                }
-                match first_slot.entry((request.url.to_string(), cookie_header)) {
-                    std::collections::hash_map::Entry::Occupied(entry) => {
-                        primary_of[i] = Some(*entry.get());
-                    }
-                    std::collections::hash_map::Entry::Vacant(entry) => {
-                        entry.insert(i);
-                    }
-                }
-            }
-        }
-
-        // Dispatch the unserved primary slots, critical lane first. Entries
-        // carry their *global* plan offset, so each fetch logs under
-        // `base + slot` no matter how the lanes were thinned.
-        let mut slot_requests: Vec<Option<Request>> = requests.into_iter().map(Some).collect();
-        for (range, priority) in [
-            (0..critical_count, Priority::Navigation),
-            (critical_count..count, Priority::Bulk),
-        ] {
-            let mut entries: Vec<(usize, Request)> = Vec::new();
-            for i in range {
-                if outcomes[i].is_none() && primary_of[i].is_none() {
-                    entries.push((
-                        i,
-                        slot_requests[i].take().expect("primary slot has request"),
-                    ));
-                }
-            }
-            if entries.is_empty() {
-                continue;
-            }
-            // Adaptive cutover per lane: fan out only when the estimated total
-            // fetch cost can pay for the pool submission; otherwise the plan
-            // dispatches inline (the sequential fast path — identical
-            // semantics, no queue round-trip).
-            let estimated_ns: u64 = entries
-                .iter()
-                .map(|(_, request)| fabric.estimated_service_ns(&request.url.origin()))
-                .fold(0, u64::saturating_add);
-            let workers = if estimated_ns < SUBRESOURCE_FANOUT_THRESHOLD_NS {
-                1
-            } else {
-                self.subresource_workers.min(entries.len())
-            };
-            let store_keys: Vec<(Url, String)> = if self.response_cache_enabled {
-                entries
-                    .iter()
-                    .map(|(_, request)| {
-                        let cookie = request.headers.get("Cookie").unwrap_or("").to_string();
-                        (request.url.clone(), cookie)
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            let slots: Vec<usize> = entries.iter().map(|(slot, _)| *slot).collect();
-            let results = fabric
-                .dispatch_batch_offsets_with_policy(base, entries, workers, priority, &policy);
-            for (j, (result, retries)) in results.into_iter().enumerate() {
-                if self.response_cache_enabled {
-                    if let Ok(response) = &result {
-                        if response.status.is_success()
-                            && !response.headers.cache_no_store()
-                            && response.headers.get("Set-Cookie").is_none()
-                            && response.headers.cache_max_age().is_some()
-                        {
-                            let (url, cookie_header) = &store_keys[j];
-                            fabric.cache_store(
-                                Method::Get,
-                                url,
-                                cookie_header,
-                                response.clone(),
-                                false,
-                            );
-                        }
-                    }
-                }
-                outcomes[slots[j]] = Some(match result {
-                    Ok(response) => (Some(response.status.0), None, retries),
-                    Err(error) => (None, Some(error.to_string()), retries),
-                });
-            }
-        }
-
-        // Fan each coalesced duplicate out from its primary's single dispatch:
-        // the hit is logged under the duplicate's own pre-reserved sequence, so
-        // the sequence-sorted log is byte-identical to one live dispatch per
-        // slot. A failed primary can't stand in for its duplicates — those
-        // fall back to a live dispatch under the session's own `FetchPolicy`
-        // (full retry budget and breaker admission, exactly as a non-coalesced
-        // slot), so a faulted cache-on run degrades no differently than the
-        // cache-off oracle; the log sorts by sequence, so a late dispatch
-        // still reads in plan order.
-        for i in 0..count {
-            let Some(primary) = primary_of[i] else {
-                continue;
-            };
-            let request = slot_requests[i].take().expect("duplicate slot has request");
-            match outcomes[primary] {
-                Some((Some(status), None, _)) => {
-                    fabric.record_cache_hit(base + i as u64, &request, status);
-                    fabric.note_cache_coalesced(1);
-                    outcomes[i] = Some((Some(status), None, 0));
-                }
-                _ => {
-                    let store_key = (
-                        request.url.clone(),
-                        request.headers.get("Cookie").unwrap_or("").to_string(),
-                    );
-                    let (result, retries) =
-                        fabric.dispatch_sequenced_with_policy(base + i as u64, request, &policy);
-                    if self.response_cache_enabled {
-                        if let Ok(response) = &result {
-                            if response.status.is_success()
-                                && !response.headers.cache_no_store()
-                                && response.headers.get("Set-Cookie").is_none()
-                                && response.headers.cache_max_age().is_some()
-                            {
-                                fabric.cache_store(
-                                    Method::Get,
-                                    &store_key.0,
-                                    &store_key.1,
-                                    response.clone(),
-                                    false,
-                                );
-                            }
-                        }
-                    }
-                    outcomes[i] = Some(match result {
-                        Ok(response) => (Some(response.status.0), None, retries),
-                        Err(error) => (None, Some(error.to_string()), retries),
-                    });
-                }
-            }
-        }
-
+        let outcomes = self
+            .network
+            .fabric()
+            .send_plan(plan, how, self.subresource_workers)
+            .join();
         page.stats.subresource_fetch_ns = start.elapsed().as_nanos();
         page.stats.subresource_requests = count as u64;
 
@@ -1294,7 +1091,12 @@ impl Browser {
         for (((node, url, _, kind), attached), outcome) in
             planned.into_iter().zip(attachments).zip(outcomes)
         {
-            let (status, error, retries) = outcome.expect("every plan slot resolved");
+            self.count_hit(outcome.served);
+            let retries = outcome.retries;
+            let (status, error) = match outcome.result {
+                Ok(response) => (Some(response.status.0), None),
+                Err(error) => (None, Some(error.to_string())),
+            };
             page.subresources.push(SubresourceOutcome {
                 node,
                 kind,
@@ -1619,14 +1421,14 @@ mod tests {
         // Speculation is a per-session opt-in: a default session never touches
         // the prefetch cache.
         browser.navigate("http://app.example/hub.php").unwrap();
-        assert_eq!(browser.fabric().prefetched_entries(), 0);
+        assert_eq!(browser.fabric().cache_one_shot_entries(), 0);
         assert!(!browser.prefetch("http://app.example/next.php"));
 
         browser.set_prefetch_enabled(true);
         let hub = browser.navigate("http://app.example/hub.php").unwrap();
         assert_eq!(browser.page(hub).stats.prefetch_issued, 1);
         assert!(!browser.page(hub).stats.prefetch_hit);
-        assert_eq!(browser.fabric().prefetched_entries(), 1);
+        assert_eq!(browser.fabric().cache_one_shot_entries(), 1);
 
         // The speculative fetch is unlogged; the log grows only when the hit
         // is consumed — under the navigation's own sequence number.
@@ -1634,15 +1436,15 @@ mod tests {
         let next = browser.navigate("http://app.example/next.php").unwrap();
         assert!(browser.page(next).stats.prefetch_hit);
         assert_eq!(browser.prefetch_hits(), 1);
-        assert_eq!(browser.fabric().prefetch_hits(), 1);
-        assert_eq!(browser.fabric().prefetched_entries(), 0);
+        assert_eq!(browser.fabric().cache_one_shot_hits(), 1);
+        assert_eq!(browser.fabric().cache_one_shot_entries(), 0);
         let log = browser.network().log();
         assert_eq!(log.len(), logged_before + 1);
         assert_eq!(log.last().unwrap().url.path(), "/next.php");
 
         // The explicit API refills the cache for the next repeat navigation.
         assert!(browser.prefetch("http://app.example/next.php"));
-        assert_eq!(browser.fabric().prefetched_entries(), 1);
+        assert_eq!(browser.fabric().cache_one_shot_entries(), 1);
         assert!(!browser.prefetch("http://unregistered.example/x"));
         assert!(!browser.prefetch("not a url"));
     }
@@ -1665,7 +1467,7 @@ mod tests {
         browser.navigate("http://app.example/seen.php").unwrap();
         let again = browser.navigate("http://app.example/index.php").unwrap();
         assert_eq!(browser.page(again).stats.prefetch_issued, 1);
-        assert_eq!(browser.fabric().prefetched_entries(), 1);
+        assert_eq!(browser.fabric().cache_one_shot_entries(), 1);
         let hit = browser.navigate("http://app.example/seen.php").unwrap();
         assert!(browser.page(hit).stats.prefetch_hit);
     }

@@ -7,12 +7,13 @@
 //! ambient principal, and only then (3) performs the effect.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use escudo_core::config::{NativeApi, AC_ATTRIBUTES};
 use escudo_core::{Operation, PolicyMode, PrincipalContext};
 use escudo_dom::{Document, NodeId};
 use escudo_html::{Token, Tokenizer};
-use escudo_net::{FetchPolicy, Method, Network, Request, SetCookie, SharedCookieJar, Url};
+use escudo_net::{Dispatch, Method, Network, Request, SetCookie, SharedCookieJar, Url};
 use escudo_script::{Host, HostError, HostNodeId, HostXhrId, XhrOutcome};
 
 use crate::context::SecurityContextTable;
@@ -31,12 +32,9 @@ pub struct BrowserHost<'a> {
     pub(crate) page_url: Url,
     pub(crate) principal: PrincipalContext,
     pub(crate) console: Vec<String>,
-    /// The session's resilience policy, applied to script-initiated XHR
-    /// dispatches exactly as the browser applies it to navigations.
-    pub(crate) fetch_policy: FetchPolicy,
-    /// Whether the session opted into the fabric's shared response cache;
-    /// script-initiated `GET` XHRs then consult it exactly like navigations.
-    pub(crate) response_cache_enabled: bool,
+    /// How script-initiated XHR travels: the session's resilience policy and,
+    /// when the session opted in, the persistent cache layer.
+    pub(crate) xhr: Dispatch,
     xhrs: HashMap<HostXhrId, (String, String)>,
     next_xhr: HostXhrId,
 }
@@ -64,8 +62,7 @@ impl<'a> BrowserHost<'a> {
         history_len: usize,
         page_url: Url,
         principal: PrincipalContext,
-        fetch_policy: FetchPolicy,
-        response_cache_enabled: bool,
+        xhr: Dispatch,
     ) -> Self {
         BrowserHost {
             mode,
@@ -78,8 +75,7 @@ impl<'a> BrowserHost<'a> {
             page_url,
             principal,
             console: Vec::new(),
-            fetch_policy,
-            response_cache_enabled,
+            xhr,
             xhrs: HashMap::new(),
             next_xhr: 0,
         }
@@ -455,52 +451,15 @@ impl Host for BrowserHost<'_> {
         }
         let principal = self.principal.clone();
         self.attach_cookies(&mut request, &principal);
-        let fabric = self.network.fabric();
-        let cacheable =
-            self.response_cache_enabled && request.method == Method::Get && request.body.is_empty();
-        let cookie_header = if cacheable {
-            request.headers.get("Cookie").unwrap_or("").to_string()
-        } else {
-            String::new()
-        };
-        // A fresh cache entry whose mediated `Cookie` header matches this
-        // XHR's plan serves the call without a dispatch — logged under a
-        // freshly reserved sequence, byte-identical to a live fetch. XHR
-        // consults only the persistent layer: one-shot prefetch entries are
-        // reserved for the navigation that speculation predicted.
-        if cacheable {
-            if let Some(hit) = fabric.cache_lookup(
-                Method::Get,
-                &request.url,
-                &cookie_header,
-                escudo_net::CacheLayers::PERSISTENT,
-            ) {
-                let sequence = fabric.reserve_sequences(1);
-                fabric.record_cache_hit(sequence, &request, hit.response.status.0);
-                return Ok(XhrOutcome {
-                    status: hit.response.status.0,
-                    body: hit.response.body.clone(),
-                });
-            }
-        }
-        // The resilient dispatch re-sends the mediated request verbatim on a
-        // retry — the attachment above is the one plan this XHR ever gets.
-        let store_url = cacheable.then(|| request.url.clone());
-        match fabric.dispatch_with_policy(request, &self.fetch_policy) {
-            Ok(response) => {
-                if let Some(url) = store_url.filter(|_| {
-                    response.status.is_success()
-                        && !response.headers.cache_no_store()
-                        && response.headers.get("Set-Cookie").is_none()
-                        && response.headers.cache_max_age().is_some()
-                }) {
-                    fabric.cache_store(Method::Get, &url, &cookie_header, response.clone(), false);
-                }
-                Ok(XhrOutcome {
-                    status: response.status.0,
-                    body: response.body,
-                })
-            }
+        // The fabric serves a fresh cache entry only under this XHR's own
+        // mediated `Cookie` header, and a retry re-sends the mediated request
+        // verbatim — the attachment above is the one plan this XHR ever gets.
+        match self.network.fabric().send(request, self.xhr).result {
+            Ok(response) => Ok(XhrOutcome {
+                status: response.status.0,
+                body: Arc::try_unwrap(response)
+                    .map_or_else(|shared| shared.body.clone(), |owned| owned.body),
+            }),
             Err(e) => Err(HostError::Network(e.to_string())),
         }
     }

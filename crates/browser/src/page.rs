@@ -96,8 +96,8 @@ impl PageLoadStats {
 }
 
 /// Which scheduler lane a planned subresource rides: render-critical resources
-/// (stylesheets, external scripts) preempt bulk image traffic in the fetch
-/// pool's priority queue.
+/// (stylesheets, external scripts) are claimed ahead of bulk image traffic in
+/// the fetch pool's priority queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SubresourceKind {
     /// Render-blocking (`link rel=stylesheet`, `script src`) — navigation lane.

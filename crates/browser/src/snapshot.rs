@@ -2,8 +2,8 @@
 //!
 //! Every layer of the stack keeps its own counters — the engine's decision
 //! counter, the reference monitor's check/denial/audit-drop tallies, the cookie
-//! jar's shard statistics, the network fabric's request log, prefetch cache and
-//! fetch-pool lanes, and each tenant's admission bucket. Before this module,
+//! jar's shard statistics, the network fabric's request log, response cache and
+//! fetch pool, and each tenant's admission bucket. Before this module,
 //! some of those counters ([`Erm::audit_dropped`], the
 //! [`SameOriginEngine`](escudo_core::SameOriginEngine) baseline's stats) had no
 //! exported surface at all: they could be asserted in unit tests but never
@@ -52,8 +52,8 @@ impl ErmCounters {
     }
 }
 
-/// Counters of one [`SharedNetwork`] fabric: request log, prefetch cache and
-/// the persistent fetch pool's lane/preemption tallies.
+/// Counters of one [`SharedNetwork`] fabric: request log, fetch pool, chaos
+/// and both response-cache layers.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FabricCounters {
     /// Requests currently resident in the bounded log.
@@ -62,17 +62,12 @@ pub struct FabricCounters {
     pub log_capacity: u64,
     /// Log entries dropped because the log was full.
     pub dropped_log_entries: u64,
-    /// Navigations served from the prefetch cache.
-    pub prefetch_hits: u64,
-    /// Prefetched entries discarded because their mediation plan went stale.
-    pub prefetch_stale_discards: u64,
-    /// Entries resident in the prefetch cache.
-    pub prefetched_entries: u64,
     /// Workers in the persistent fetch pool.
     pub pool_workers: u64,
     /// Jobs the pool's parked workers have executed.
     pub pool_jobs_executed: u64,
-    /// Bulk-lane jobs preempted by navigation-lane arrivals.
+    /// Always 0: a pool worker never abandons the batch it is draining. Kept
+    /// only because the navigation benchmark (`navbench`) reads it.
     pub pool_preemptions: u64,
     /// Failing faults injected by installed fault plans (timeouts + panics).
     pub fault_injected: u64,
@@ -94,6 +89,11 @@ pub struct FabricCounters {
     pub breaker_fast_fails: u64,
     /// Fetches served from persistent response-cache entries (zero-copy hits).
     pub cache_hits: u64,
+    /// Fetches served from one-shot (speculative prefetch) entries.
+    pub cache_one_shot_hits: u64,
+    /// Entries of either layer discarded because the consuming request's
+    /// mediation plan no longer matched.
+    pub cache_stale_discards: u64,
     /// Cache entries discarded because their freshness TTL had lapsed.
     pub cache_expired: u64,
     /// Cache entries evicted by the per-shard LRU capacity bound.
@@ -104,6 +104,8 @@ pub struct FabricCounters {
     pub cache_coalesced: u64,
     /// Entries currently resident in the response cache (both layers).
     pub cache_entries: u64,
+    /// One-shot (speculative prefetch) entries currently resident.
+    pub cache_one_shot_entries: u64,
 }
 
 impl FabricCounters {
@@ -114,12 +116,9 @@ impl FabricCounters {
             log_len: fabric.log_len() as u64,
             log_capacity: fabric.log_capacity() as u64,
             dropped_log_entries: fabric.dropped_log_entries(),
-            prefetch_hits: fabric.prefetch_hits(),
-            prefetch_stale_discards: fabric.prefetch_stale_discards(),
-            prefetched_entries: fabric.prefetched_entries() as u64,
             pool_workers: fabric.fetch_pool_workers() as u64,
             pool_jobs_executed: fabric.fetch_pool_jobs_executed(),
-            pool_preemptions: fabric.fetch_pool_preemptions(),
+            pool_preemptions: 0,
             fault_injected: fabric.faults_injected(),
             fault_slowdowns: fabric.fault_slowdowns(),
             retry_attempts: fabric.retry_attempts(),
@@ -130,11 +129,14 @@ impl FabricCounters {
             breaker_recoveries: fabric.breaker_recoveries(),
             breaker_fast_fails: fabric.breaker_fast_fails(),
             cache_hits: fabric.cache_hits(),
+            cache_one_shot_hits: fabric.cache_one_shot_hits(),
+            cache_stale_discards: fabric.cache_stale_discards(),
             cache_expired: fabric.cache_expired(),
             cache_evictions: fabric.cache_evictions(),
             cache_stored: fabric.cache_stored(),
             cache_coalesced: fabric.cache_coalesced(),
             cache_entries: fabric.cache_entries() as u64,
+            cache_one_shot_entries: fabric.cache_one_shot_entries() as u64,
         }
     }
 }
@@ -165,7 +167,7 @@ pub enum HealthVerdict {
     /// All thresholds comfortably clear.
     Ok,
     /// Operating, but losing fidelity: noticeable admission shedding, audit
-    /// records dropping, log entries dropping, or a mostly-stale prefetch
+    /// records dropping, log entries dropping, or a mostly-stale response
     /// cache.
     Degraded,
     /// Shedding or dropping a majority of its work — counters understate what
@@ -284,8 +286,9 @@ impl ControlPlaneSnapshot {
     /// * **Audit drop rate** — audit records dropped per mediated check. Over
     ///   5% is `Degraded`; over 50% is `Failing` (the audit trail no longer
     ///   reflects enforcement).
-    /// * **Prefetch staleness** — stale discards / (hits + stale discards).
-    ///   Over 50% is `Degraded`: the prefetcher is mostly wasted work.
+    /// * **Cache staleness** — stale discards / (persistent hits + one-shot
+    ///   hits + stale discards), both layers on both sides. Over 50% is
+    ///   `Degraded`: the cache mostly holds entries no current plan can use.
     /// * **Log drops** — any dropped request-log entry is `Degraded` (the
     ///   fabric log understates traffic).
     ///
@@ -308,18 +311,19 @@ impl ControlPlaneSnapshot {
         });
         let shed_rate = rate(rejected, admitted.saturating_add(rejected));
         let audit_drop_rate = rate(self.erm.audit_dropped, self.erm.checks);
-        let prefetch_stale_rate = rate(
-            self.fabric.prefetch_stale_discards,
+        let cache_stale_rate = rate(
+            self.fabric.cache_stale_discards,
             self.fabric
-                .prefetch_hits
-                .saturating_add(self.fabric.prefetch_stale_discards),
+                .cache_hits
+                .saturating_add(self.fabric.cache_one_shot_hits)
+                .saturating_add(self.fabric.cache_stale_discards),
         );
 
         if shed_rate > 0.5 || audit_drop_rate > 0.5 {
             HealthVerdict::Failing
         } else if shed_rate > 0.05
             || audit_drop_rate > 0.05
-            || prefetch_stale_rate > 0.5
+            || cache_stale_rate > 0.5
             || self.fabric.dropped_log_entries > 0
         {
             HealthVerdict::Degraded
@@ -365,28 +369,12 @@ impl ControlPlaneSnapshot {
             self.fabric.dropped_log_entries as f64,
         );
         push(
-            "fabric_prefetch_hits".into(),
-            self.fabric.prefetch_hits as f64,
-        );
-        push(
-            "fabric_prefetch_stale_discards".into(),
-            self.fabric.prefetch_stale_discards as f64,
-        );
-        push(
-            "fabric_prefetched_entries".into(),
-            self.fabric.prefetched_entries as f64,
-        );
-        push(
             "fabric_pool_workers".into(),
             self.fabric.pool_workers as f64,
         );
         push(
             "fabric_pool_jobs_executed".into(),
             self.fabric.pool_jobs_executed as f64,
-        );
-        push(
-            "fabric_pool_preemptions".into(),
-            self.fabric.pool_preemptions as f64,
         );
 
         // Chaos counters, exported by the benches as `cp_fault_*` /
@@ -415,11 +403,23 @@ impl ControlPlaneSnapshot {
         // informational to the trajectory comparator (hit-rate *gates* stay in
         // the benches themselves, where the workload is controlled).
         push("cache_hits".into(), self.fabric.cache_hits as f64);
+        push(
+            "cache_one_shot_hits".into(),
+            self.fabric.cache_one_shot_hits as f64,
+        );
+        push(
+            "cache_stale_discards".into(),
+            self.fabric.cache_stale_discards as f64,
+        );
         push("cache_expired".into(), self.fabric.cache_expired as f64);
         push("cache_evictions".into(), self.fabric.cache_evictions as f64);
         push("cache_stored".into(), self.fabric.cache_stored as f64);
         push("cache_coalesced".into(), self.fabric.cache_coalesced as f64);
         push("cache_entries".into(), self.fabric.cache_entries as f64);
+        push(
+            "cache_one_shot_entries".into(),
+            self.fabric.cache_one_shot_entries as f64,
+        );
 
         for tenant in &self.tenants {
             let prefix = format!("tenant_{}", tenant.id);
@@ -574,15 +574,30 @@ mod tests {
         let mut snapshot = ControlPlaneSnapshot::gather(&erm, &jar, &fabric, None);
 
         // A mostly-stale prefetch cache is wasted work, not lost data.
-        snapshot.fabric.prefetch_hits = 1;
-        snapshot.fabric.prefetch_stale_discards = 9;
+        snapshot.fabric.cache_one_shot_hits = 1;
+        snapshot.fabric.cache_stale_discards = 9;
         assert_eq!(snapshot.health(), HealthVerdict::Degraded);
-        snapshot.fabric.prefetch_stale_discards = 0;
+        snapshot.fabric.cache_stale_discards = 0;
         assert_eq!(snapshot.health(), HealthVerdict::Ok);
 
         // Any dropped request-log entry understates traffic.
         snapshot.fabric.dropped_log_entries = 1;
         assert_eq!(snapshot.health(), HealthVerdict::Degraded);
+    }
+
+    #[test]
+    fn health_rates_staleness_over_hits_of_both_cache_layers() {
+        let erm = Erm::new(PolicyMode::Escudo);
+        let jar = SharedCookieJar::new();
+        let fabric = SharedNetwork::new();
+        let mut snapshot = ControlPlaneSnapshot::gather(&erm, &jar, &fabric, None);
+
+        // A cache-only deployment: one stale discard against nine persistent
+        // hits and no prefetch at all is a healthy cache.
+        snapshot.fabric.cache_hits = 9;
+        snapshot.fabric.cache_stale_discards = 1;
+        snapshot.fabric.cache_one_shot_hits = 0;
+        assert_eq!(snapshot.health(), HealthVerdict::Ok);
     }
 
     #[test]

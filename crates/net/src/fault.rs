@@ -12,26 +12,29 @@
 //!   atomic dispatch counter; schedule evaluation is a pure function of that
 //!   counter's value, so two runs with the same plan fault the same
 //!   dispatches in the same order. Faulted dispatches return
-//!   [`NetError::Timeout`] (or panic, contained per-slot on the batch paths)
+//!   [`NetError::Timeout`] (or panic, contained per request)
 //!   and are **excluded from the EWMA service-time model** so injected
 //!   slowness cannot poison the planner's adaptive fan-out cutover.
-//! * **Fetch policy.** A [`FetchPolicy`] turns bare dispatches into a
-//!   resilient loop: bounded retries with deterministic exponential backoff
-//!   metered against the fabric's injectable [`Clock`] (the backoff is
-//!   *virtual* — accounted, never slept — so retry and deadline counts are
-//!   exactly testable under a [`ManualClock`](escudo_core::ManualClock)), a
-//!   per-batch deadline budget, and a per-origin circuit breaker
-//!   (Closed → Open → HalfOpen with cooldown). A retry re-sends the request
-//!   **verbatim**: the original mediation plan, decided by exactly one engine
-//!   generation, is reused byte-for-byte — resilience never re-mediates, and
-//!   denied or throttled plans are never retried because a denial is not an
-//!   error, it is the monitor working.
+//! * **Fetch policy.** A [`FetchPolicy`] in a [`Dispatch`] turns a bare
+//!   dispatch into a resilient loop: bounded retries with deterministic
+//!   exponential backoff metered against the fabric's injectable [`Clock`]
+//!   (the backoff is *virtual* — accounted, never slept — so retry and
+//!   deadline counts are exactly testable under a
+//!   [`ManualClock`](escudo_core::ManualClock)), a per-batch deadline budget,
+//!   and a per-origin circuit breaker (Closed → Open → HalfOpen with
+//!   cooldown). A retry re-sends the request **verbatim**: the original
+//!   mediation plan, decided by exactly one engine generation, is reused
+//!   byte-for-byte — resilience never re-mediates, and denied or throttled
+//!   plans are never retried because a denial is not an error, it is the
+//!   monitor working.
 //!
 //! The failed attempts themselves are never logged (there is no response to
 //! record, matching unreachable dispatches), and a successful retry logs
 //! under the request's originally reserved sequence number — so the
 //! sequence-sorted log of a faulted run is oracle-identical to the fault-free
 //! run's.
+//!
+//! [`Dispatch`]: crate::Dispatch
 
 use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,8 +42,8 @@ use std::sync::{Arc, Mutex};
 
 use escudo_core::{Clock, Origin};
 
+use crate::dispatch::dispatch_containing_panics;
 use crate::error::NetError;
-use crate::fetch_pool::dispatch_containing_panics;
 use crate::message::{Request, Response};
 use crate::shared_network::SharedNetwork;
 
@@ -60,7 +63,8 @@ pub enum FaultSchedule {
     SlowBy(u64),
     /// Panic inside every dispatch, before the origin's handler runs (so the
     /// handler mutex is never poisoned and the origin can heal when the plan
-    /// is cleared). Contained per-slot on the batch paths.
+    /// is cleared). Contained per request: the slot fails with
+    /// [`NetError::FetchPanicked`].
     Panic,
     /// Time out every dispatch.
     Timeout,
@@ -75,7 +79,7 @@ pub enum FaultOutcome {
     Proceed,
     /// Fail this dispatch with [`NetError::Timeout`].
     Timeout,
-    /// Panic inside this dispatch (contained per-slot on batch paths).
+    /// Panic inside this dispatch (contained per request).
     Panic,
 }
 
@@ -219,10 +223,9 @@ impl FaultState {
     }
 }
 
-/// The resilience knobs a caller threads through `dispatch_with_policy` /
-/// `dispatch_batch_with_policy`. The default policy is **disabled** — zero
-/// retries, no breaker — and byte-identical to the bare dispatch path, so
-/// existing callers pay nothing.
+/// The resilience knobs of a [`Dispatch`](crate::Dispatch). The default
+/// policy is **disabled** — zero retries, no breaker — and byte-identical to
+/// the bare dispatch path, so callers that never opt in pay nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FetchPolicy {
     /// Retries allowed per request on top of the first attempt (transient
@@ -377,19 +380,20 @@ pub(crate) struct BatchBudget {
 }
 
 impl BatchBudget {
-    pub(crate) fn new(fabric: &SharedNetwork, policy: FetchPolicy) -> Self {
-        BatchBudget {
+    /// A fresh budget starting now on the fabric clock — `None` for a
+    /// disabled policy, which runs the bare single-attempt dispatch.
+    pub(crate) fn for_policy(fabric: &SharedNetwork, policy: FetchPolicy) -> Option<Self> {
+        (!policy.is_disabled()).then(|| BatchBudget {
             policy,
             started_ns: fabric.clock_now_ns(),
             virtual_backoff_ns: AtomicU64::new(0),
-        }
+        })
     }
 }
 
-/// The resilient per-slot dispatch loop shared by the pooled drain, the
-/// inline batch path and the single-request `dispatch_with_policy`:
-/// breaker admission, one contained dispatch attempt, bounded retries with
-/// virtual backoff metered against the batch deadline. Returns the final
+/// The resilient per-slot dispatch loop behind every policy-enabled
+/// dispatch, pooled or inline: breaker admission, one contained dispatch
+/// attempt, bounded retries with virtual backoff metered against the batch deadline. Returns the final
 /// outcome plus how many retries this slot consumed.
 ///
 /// The request is re-sent **verbatim** on every attempt — same URL, same
@@ -399,9 +403,8 @@ impl BatchBudget {
 /// the eventual success logs under the original sequence).
 pub(crate) fn dispatch_slot_resilient(
     fabric: &SharedNetwork,
-    base: Option<u64>,
-    index: usize,
-    request: Request,
+    sequence: Option<u64>,
+    request: &Request,
     budget: &BatchBudget,
 ) -> (Result<Response, NetError>, u32) {
     let policy = budget.policy;
@@ -411,7 +414,7 @@ pub(crate) fn dispatch_slot_resilient(
         if let Err(open) = fabric.breaker_admit(&origin, &policy) {
             return (Err(open), retries);
         }
-        match dispatch_containing_panics(fabric, base, index, request.clone()) {
+        match dispatch_containing_panics(fabric, sequence, request) {
             Ok(response) => {
                 fabric.breaker_record(&origin, &policy, true);
                 if retries > 0 {
@@ -645,58 +648,6 @@ impl SharedNetwork {
         }
     }
 
-    /// Dispatches one request under a fresh sequence number through the
-    /// resilient loop: breaker admission, bounded retries with virtual
-    /// backoff, deadline accounting — the navigation and XHR counterpart of
-    /// `dispatch_batch_with_policy`. A disabled policy falls through to the
-    /// bare [`dispatch`](SharedNetwork::dispatch) (identical semantics, zero
-    /// overhead).
-    ///
-    /// # Errors
-    ///
-    /// The final attempt's error: [`NetError::Timeout`] /
-    /// [`NetError::FetchPanicked`] once retries are exhausted,
-    /// [`NetError::CircuitOpen`] when the origin's breaker refused admission,
-    /// or [`NetError::HostUnreachable`] (never retried).
-    pub fn dispatch_with_policy(
-        &self,
-        request: Request,
-        policy: &FetchPolicy,
-    ) -> Result<Response, NetError> {
-        if policy.is_disabled() {
-            return self.dispatch(request);
-        }
-        let sequence = self.reserve_sequences(1);
-        let budget = BatchBudget::new(self, *policy);
-        dispatch_slot_resilient(self, Some(sequence), 0, request, &budget).0
-    }
-
-    /// Dispatches one request under a **caller-reserved** sequence number
-    /// through the resilient loop, returning the outcome plus the retries the
-    /// slot consumed. This is the coalesced-duplicate fallback of the
-    /// subresource loader: when a single-flight primary failed, each duplicate
-    /// slot re-dispatches itself under its own pre-reserved sequence with the
-    /// session's full retry budget, exactly as a non-coalesced plan slot would
-    /// have. A disabled policy falls through to the bare
-    /// [`dispatch_sequenced`](SharedNetwork::dispatch_sequenced).
-    ///
-    /// # Errors
-    ///
-    /// The final attempt's error, exactly as
-    /// [`dispatch_with_policy`](SharedNetwork::dispatch_with_policy).
-    pub fn dispatch_sequenced_with_policy(
-        &self,
-        sequence: u64,
-        request: Request,
-        policy: &FetchPolicy,
-    ) -> (Result<Response, NetError>, u32) {
-        if policy.is_disabled() {
-            return (self.dispatch_sequenced(sequence, request), 0);
-        }
-        let budget = BatchBudget::new(self, *policy);
-        dispatch_slot_resilient(self, Some(sequence), 0, request, &budget)
-    }
-
     /// Failing faults injected so far (timeouts and planned panics).
     #[must_use]
     pub fn faults_injected(&self) -> u64 {
@@ -757,7 +708,20 @@ impl SharedNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dispatch::Dispatch;
     use escudo_core::ManualClock;
+
+    fn send(
+        net: &SharedNetwork,
+        url: &str,
+        policy: FetchPolicy,
+    ) -> Result<Arc<Response>, NetError> {
+        let how = Dispatch {
+            policy,
+            ..Dispatch::default()
+        };
+        net.send(Request::get(url).unwrap(), how).result
+    }
 
     fn echo(req: &Request) -> Response {
         Response::ok_text(req.url.path().to_string())
@@ -795,29 +759,26 @@ mod tests {
         net.register("http://a.example", echo);
         net.inject_fault("http://a.example", FaultPlan::new().fail_first(2));
         for i in 0..2 {
-            let err = net
-                .dispatch(Request::get(&format!("http://a.example/{i}")).unwrap())
-                .unwrap_err();
+            let err = send(
+                &net,
+                &format!("http://a.example/{i}"),
+                FetchPolicy::disabled(),
+            )
+            .unwrap_err();
             assert!(
                 matches!(err, NetError::Timeout { ref origin, .. } if origin.contains("a.example")),
                 "dispatch {i} should time out, got {err}"
             );
         }
         // The schedule heals at index 2.
-        assert!(net
-            .dispatch(Request::get("http://a.example/ok").unwrap())
-            .is_ok());
+        assert!(send(&net, "http://a.example/ok", FetchPolicy::disabled()).is_ok());
         assert_eq!(net.faults_injected(), 2);
         assert_eq!(net.log_len(), 1, "faulted dispatches are never logged");
         // Re-installing a plan replays from index 0.
         net.inject_fault("http://a.example", FaultPlan::new().fail_first(1));
-        assert!(net
-            .dispatch(Request::get("http://a.example/again").unwrap())
-            .is_err());
+        assert!(send(&net, "http://a.example/again", FetchPolicy::disabled()).is_err());
         net.clear_fault("http://a.example");
-        assert!(net
-            .dispatch(Request::get("http://a.example/healed").unwrap())
-            .is_ok());
+        assert!(send(&net, "http://a.example/healed", FetchPolicy::disabled()).is_ok());
     }
 
     #[test]
@@ -825,9 +786,7 @@ mod tests {
         let net = SharedNetwork::new();
         net.inject_fault("http://later.example", FaultPlan::new().timeout());
         net.register("http://later.example", echo);
-        assert!(net
-            .dispatch(Request::get("http://later.example/").unwrap())
-            .is_err());
+        assert!(send(&net, "http://later.example/", FetchPolicy::disabled()).is_err());
         assert!(net
             .fault_plan(&Origin::parse_url("http://later.example").unwrap())
             .is_some());
@@ -839,9 +798,7 @@ mod tests {
         net.register("http://flaky.example", echo);
         net.inject_fault("http://flaky.example", FaultPlan::new().fail_first(2));
         let policy = FetchPolicy::default().with_max_retries(2);
-        let response = net
-            .dispatch_with_policy(Request::get("http://flaky.example/x").unwrap(), &policy)
-            .unwrap();
+        let response = send(&net, "http://flaky.example/x", policy).unwrap();
         assert_eq!(response.body, "/x");
         assert_eq!(net.retry_attempts(), 2);
         assert_eq!(net.retry_successes(), 1);
@@ -855,17 +812,13 @@ mod tests {
         net.register("http://down.example", echo);
         net.inject_fault("http://down.example", FaultPlan::new().timeout());
         let policy = FetchPolicy::default().with_max_retries(3);
-        let err = net
-            .dispatch_with_policy(Request::get("http://down.example/x").unwrap(), &policy)
-            .unwrap_err();
+        let err = send(&net, "http://down.example/x", policy).unwrap_err();
         assert!(matches!(err, NetError::Timeout { .. }));
         assert_eq!(net.retry_attempts(), 3, "exactly max_retries retries");
         assert_eq!(net.faults_injected(), 4, "initial attempt + 3 retries");
         // A missing server is permanent: no retry is burned on it.
         let before = net.retry_attempts();
-        let err = net
-            .dispatch_with_policy(Request::get("http://nowhere.example/").unwrap(), &policy)
-            .unwrap_err();
+        let err = send(&net, "http://nowhere.example/", policy).unwrap_err();
         assert!(matches!(err, NetError::HostUnreachable(_)));
         assert_eq!(net.retry_attempts(), before);
     }
@@ -882,9 +835,7 @@ mod tests {
             .with_max_retries(10)
             .with_backoff_base_ns(1_000_000)
             .with_deadline_ns(3_000_000);
-        let err = net
-            .dispatch_with_policy(Request::get("http://down.example/x").unwrap(), &policy)
-            .unwrap_err();
+        let err = send(&net, "http://down.example/x", policy).unwrap_err();
         assert!(matches!(err, NetError::Timeout { .. }));
         assert_eq!(net.retry_attempts(), 1);
         assert_eq!(net.retry_deadline_exhausted(), 1);
@@ -903,18 +854,14 @@ mod tests {
 
         // Three consecutive transient failures trip the breaker open.
         for _ in 0..3 {
-            let err = net
-                .dispatch_with_policy(Request::get("http://sick.example/").unwrap(), &policy)
-                .unwrap_err();
+            let err = send(&net, "http://sick.example/", policy).unwrap_err();
             assert!(matches!(err, NetError::Timeout { .. }));
         }
         assert_eq!(net.breaker_phase(&origin), Some(BreakerPhase::Open));
         assert_eq!(net.breaker_trips(), 1);
 
         // Open within the cooldown: fail fast, carrying the remaining wait.
-        let err = net
-            .dispatch_with_policy(Request::get("http://sick.example/").unwrap(), &policy)
-            .unwrap_err();
+        let err = send(&net, "http://sick.example/", policy).unwrap_err();
         assert!(
             matches!(err, NetError::CircuitOpen { cooldown_ns, .. } if cooldown_ns == 1_000_000_000)
         );
@@ -923,9 +870,7 @@ mod tests {
         // Cooldown elapses; the origin heals; the single probe closes it.
         clock.advance_ns(1_000_000_000);
         net.clear_fault("http://sick.example");
-        let ok = net
-            .dispatch_with_policy(Request::get("http://sick.example/ok").unwrap(), &policy)
-            .unwrap();
+        let ok = send(&net, "http://sick.example/ok", policy).unwrap();
         assert_eq!(ok.body, "/ok");
         assert_eq!(net.breaker_phase(&origin), Some(BreakerPhase::Closed));
         assert_eq!(net.breaker_probes(), 1);
@@ -942,13 +887,12 @@ mod tests {
         let origin = Origin::parse_url("http://sick.example").unwrap();
         let policy = FetchPolicy::default().with_breaker(2, 500);
         for _ in 0..2 {
-            let _ =
-                net.dispatch_with_policy(Request::get("http://sick.example/").unwrap(), &policy);
+            let _ = send(&net, "http://sick.example/", policy);
         }
         assert_eq!(net.breaker_phase(&origin), Some(BreakerPhase::Open));
         clock.advance_ns(500);
         // Still faulted: the probe fails and the breaker re-trips.
-        let _ = net.dispatch_with_policy(Request::get("http://sick.example/").unwrap(), &policy);
+        let _ = send(&net, "http://sick.example/", policy);
         assert_eq!(net.breaker_phase(&origin), Some(BreakerPhase::Open));
         assert_eq!(net.breaker_trips(), 2);
         assert_eq!(net.breaker_probes(), 1);
@@ -961,12 +905,7 @@ mod tests {
         net.register("http://a.example", echo);
         assert!(FetchPolicy::default().is_disabled());
         assert!(!FetchPolicy::resilient().is_disabled());
-        let response = net
-            .dispatch_with_policy(
-                Request::get("http://a.example/x").unwrap(),
-                &FetchPolicy::disabled(),
-            )
-            .unwrap();
+        let response = send(&net, "http://a.example/x", FetchPolicy::disabled()).unwrap();
         assert_eq!(response.body, "/x");
         assert_eq!(net.retry_attempts(), 0);
         assert_eq!(
@@ -981,9 +920,7 @@ mod tests {
         net.register("http://slowed.example", echo);
         net.inject_fault("http://slowed.example", FaultPlan::new().slow_by(1_000_000));
         let start = std::time::Instant::now();
-        assert!(net
-            .dispatch(Request::get("http://slowed.example/").unwrap())
-            .is_ok());
+        assert!(send(&net, "http://slowed.example/", FetchPolicy::disabled()).is_ok());
         assert!(start.elapsed() >= std::time::Duration::from_millis(1));
         assert_eq!(net.fault_slowdowns(), 1);
         assert_eq!(net.faults_injected(), 0, "a slowdown is not a failure");

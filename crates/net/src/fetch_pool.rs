@@ -1,12 +1,9 @@
 //! The persistent fetch worker pool: parked OS threads the fabric reuses across
-//! page loads, scheduled over a **two-lane priority queue**.
+//! page loads, scheduled over a **three-lane priority queue**.
 //!
-//! PR 4's pipelined loader fanned each page's pre-mediated fetches out over
-//! *scoped threads spawned per page load*. Spawning costs tens of microseconds a
-//! thread, which is why the loader needed a 300µs adaptive cutover before fanning
-//! out at all — the fan-out machinery had to pay for itself on every single page.
-//! This module replaces the per-page spawn with a **fabric-owned pool of parked
-//! workers**:
+//! Spawning a thread costs tens of microseconds, too much to pay on every page
+//! load, so the fabric owns a **pool of parked workers** that
+//! [`SharedNetwork::send_plan`] submits to:
 //!
 //! * a lane-split job queue plus a `Condvar` the idle workers park on —
 //!   submission is a short lock hold and one notify per woken worker,
@@ -17,7 +14,7 @@
 //! * the pool grows on demand up to [`MAX_POOL_WORKERS`], sized by each batch's
 //!   requested parallelism with [`std::thread::available_parallelism`] as the
 //!   floor for the first growth step;
-//! * the **submitting thread is always worker 0**: it drains its own batch
+//! * the **joining thread is always worker 0**: it drains its own batch
 //!   alongside the pool, so a batch never deadlocks waiting for pool capacity
 //!   and the sequential semantics of a one-worker batch are exactly the inline
 //!   dispatch path;
@@ -25,22 +22,17 @@
 //!
 //! # Priority lanes
 //!
-//! The queue is no longer strict FIFO. Every ticket carries a [`Priority`] lane
-//! tag and workers serve lanes in order — [`Priority::Navigation`] first, then
-//! [`Priority::Bulk`], then [`Priority::Background`] — so a navigation-critical
-//! batch submitted behind a sibling session's deep bulk-image storm does not
-//! wait its full FIFO turn. Two mechanisms keep the lanes honest:
-//!
-//! * **Preemption.** A worker draining a bulk or background batch polls a
-//!   lock-free "navigation tickets queued" signal between requests; when
-//!   navigation work is waiting, it parks its unfinished batch back at the
-//!   *front* of its lane (preserving that batch's exact concurrency bound) and
-//!   goes to claim the navigation ticket instead. A batch is only ever
-//!   preempted at request boundaries — an in-flight fetch always completes.
-//! * **Anti-starvation credit.** After [`NAVIGATION_CREDIT`] consecutive
-//!   navigation tickets handed out while lower-lane work waited, the queue
-//!   serves one bulk/background ticket regardless, so a navigation storm can
-//!   slow the bulk lanes but never halt them.
+//! The queue is not strict FIFO. Every ticket carries a [`Priority`] lane tag
+//! and a free worker claims tickets lane by lane — [`Priority::Navigation`]
+//! first, then [`Priority::Bulk`], then [`Priority::Background`] — so a
+//! navigation-critical batch submitted behind a sibling session's deep
+//! bulk-image storm does not wait its full FIFO turn. Lanes decide which
+//! ticket a free worker claims next; a worker never abandons the batch it is
+//! draining. The **anti-starvation credit** keeps the lanes honest the other
+//! way: after [`NAVIGATION_CREDIT`] consecutive navigation tickets handed out
+//! while lower-lane work waited, the queue serves one bulk/background ticket
+//! regardless, so a navigation storm can slow the bulk lanes but never halt
+//! them.
 //!
 //! # Tickets, not jobs
 //!
@@ -58,20 +50,21 @@
 //! own fetch, never hangs the navigating thread or kills the pool.
 //!
 //! Because submission is cheap and the workers are already warm, "overlap the
-//! next navigation with the current fan-out" is now just another batch
-//! submission: [`SharedNetwork::submit_background_batch`] enqueues speculative
-//! prefetch work on the background lane and returns immediately, so the
-//! navigating thread fans the current page out while the pool fills the
-//! prefetch cache behind it.
+//! next navigation with the current fan-out" is just another plan:
+//! [`SharedNetwork::send_plan`] with `Background` slots enqueues speculative
+//! prefetch work and returns immediately, so the navigating thread fans the
+//! current page out while the pool fills the prefetch cache behind it.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
 
+use crate::dispatch::{Outcome, Served};
 use crate::error::NetError;
-use crate::fault::{dispatch_slot_resilient, BatchBudget, FetchPolicy};
-use crate::message::{Request, Response};
+use crate::fault::BatchBudget;
+use crate::message::Request;
+use crate::response_cache::CacheLayers;
 use crate::shared_network::SharedNetwork;
 
 /// Hard bound on pool threads, far above any realistic fan-out parallelism — a
@@ -85,91 +78,64 @@ pub const NAVIGATION_CREDIT: u32 = 4;
 
 /// The scheduling lane a fetch batch rides through the pool's priority queue.
 ///
-/// Lanes are served strictly in order — `Navigation`, then `Bulk`, then
-/// `Background` — subject to the [`NAVIGATION_CREDIT`] anti-starvation valve,
-/// and a worker draining a lower lane yields to freshly queued navigation work
-/// at the next request boundary.
+/// Free workers claim tickets strictly in lane order — `Navigation`, then
+/// `Bulk`, then `Background` — subject to the [`NAVIGATION_CREDIT`]
+/// anti-starvation valve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Priority {
     /// Navigation-critical work: the document fetch's render-blocking
-    /// companions (stylesheets, scripts). Preempts the lower lanes.
+    /// companions (stylesheets, scripts). Claimed ahead of the lower lanes.
     Navigation,
     /// Ordinary page fan-out — images and other non-blocking subresources.
     #[default]
     Bulk,
-    /// Speculative work (prefetch). Runs only when nothing better is queued
-    /// and yields to navigation work between requests.
+    /// Speculative work (prefetch). Claimed only when nothing better is
+    /// queued.
     Background,
 }
 
-/// One slot's final outcome plus the retries that slot consumed.
-type SlotResult = (Result<Response, NetError>, u32);
-
 /// One submitted batch: the pending requests any ticket holder may claim, the
-/// per-request result slots, and the rendezvous the submitter waits on.
+/// per-request outcome slots, and the rendezvous the submitter waits on.
 ///
 /// The batch holds the fabric **weakly**: the pool lives *inside* the fabric,
 /// so a worker must never be the one to drop the fabric's last strong
 /// reference — that would run the pool's own `Drop` (which joins the workers)
-/// on a worker thread. The submitter blocked in `dispatch_batch` holds a
-/// strong reference for the whole batch, so the upgrade only fails for work
-/// orphaned by a vanished submitter, which completes with an error.
-struct BatchWork {
+/// on a worker thread. The submitter holds a strong reference until it joins,
+/// so the upgrade only fails for work orphaned by a vanished submitter, which
+/// completes with an error.
+pub(crate) struct BatchWork {
     fabric: Weak<SharedNetwork>,
-    /// Sequence base for the request log; `None` for speculative batches,
-    /// which dispatch unlogged so prefetch cannot perturb the sequence-ordered
-    /// log the oracle-equivalence harness compares.
-    base: Option<u64>,
-    /// Requests not yet claimed, as `(slot, sequence_offset, request)`. The
-    /// slot indexes the result array; the sequence offset is added to `base`
-    /// for the log. They coincide for ordinary batches, but a single-flight
-    /// plan with coalesced duplicates dispatches only the first occurrences —
-    /// each still under its *own* plan position's sequence, so the sorted log
-    /// keeps exact plan order. One short lock hold per claim; ticket holders
-    /// loop until this is empty.
-    pending: Mutex<VecDeque<(usize, usize, Request)>>,
-    /// Per-request outcome plus the retries that slot consumed (always 0
-    /// without a retry budget).
-    slots: Vec<Mutex<Option<SlotResult>>>,
+    /// Requests not yet claimed, as `(slot, sequence, request)`: the slot
+    /// indexes the outcome array, the sequence (`None` when unlogged) is the
+    /// one the request logs under. One short lock hold per claim; ticket
+    /// holders loop until this is empty.
+    pending: Mutex<VecDeque<(usize, Option<u64>, Request)>>,
+    slots: Vec<Mutex<Option<Outcome>>>,
     remaining: AtomicUsize,
     done: Mutex<bool>,
     finished: Condvar,
     /// The batch's shared retry budget; `None` runs the bare single-attempt
-    /// dispatch (the disabled-policy fast path — no request clones, no
-    /// breaker lookups).
-    budget: Option<Arc<BatchBudget>>,
+    /// dispatch.
+    budget: Option<BatchBudget>,
+    /// The cache layers wire responses may be admitted into.
+    cache: CacheLayers,
 }
 
 impl BatchWork {
-    fn new(
+    pub(crate) fn new(
         fabric: &Arc<SharedNetwork>,
-        base: Option<u64>,
-        requests: Vec<Request>,
-        budget: Option<Arc<BatchBudget>>,
-    ) -> Arc<Self> {
-        let entries = requests.into_iter().enumerate().collect();
-        BatchWork::with_offsets(fabric, base, entries, budget)
-    }
-
-    /// A batch whose requests carry explicit sequence offsets (`base + offset`
-    /// in the log) decoupled from their result-slot positions — the
-    /// single-flight loader dispatches a plan with duplicate slots removed,
-    /// leaving offset gaps the coalesced hits fill in at consumption time.
-    fn with_offsets(
-        fabric: &Arc<SharedNetwork>,
-        base: Option<u64>,
-        entries: Vec<(usize, Request)>,
-        budget: Option<Arc<BatchBudget>>,
+        entries: Vec<(Option<u64>, Request)>,
+        budget: Option<BatchBudget>,
+        cache: CacheLayers,
     ) -> Arc<Self> {
         let count = entries.len();
         Arc::new(BatchWork {
             fabric: Arc::downgrade(fabric),
-            base,
             pending: Mutex::new(
                 entries
                     .into_iter()
                     .enumerate()
-                    .map(|(slot, (offset, request))| (slot, offset, request))
+                    .map(|(slot, (sequence, request))| (slot, sequence, request))
                     .collect(),
             ),
             slots: (0..count).map(|_| Mutex::new(None)).collect(),
@@ -178,33 +144,23 @@ impl BatchWork {
             done: Mutex::new(count == 0),
             finished: Condvar::new(),
             budget,
+            cache,
         })
     }
 
-    /// Claims and dispatches **one** pending request. Returns `false` when no
+    /// Claims and sends **one** pending request. Returns `false` when no
     /// claim remained — the batch's pending list is empty (though ticket
-    /// holders may still be finishing claims made earlier).
-    ///
-    /// A panic inside the origin's handler is caught here, per request: the
-    /// slot is completed with [`NetError::FetchPanicked`] and the caller keeps
-    /// going — one poisoned handler cannot hang the batch or kill a pool
-    /// worker.
+    /// holders may still be finishing claims made earlier). A panicking
+    /// handler fails its own slot (see
+    /// [`dispatch_containing_panics`](crate::dispatch::dispatch_containing_panics)).
     fn drain_one(&self) -> bool {
         let claimed = self.pending.lock().expect("batch pending list").pop_front();
-        let Some((index, offset, request)) = claimed else {
+        let Some((index, sequence, request)) = claimed else {
             return false;
         };
         let outcome = match self.fabric.upgrade() {
             Some(fabric) => {
-                let outcome = match &self.budget {
-                    Some(budget) => {
-                        dispatch_slot_resilient(&fabric, self.base, offset, request, budget)
-                    }
-                    None => (
-                        dispatch_containing_panics(&fabric, self.base, offset, request),
-                        0,
-                    ),
-                };
+                let outcome = fabric.wire(sequence, &request, self.budget.as_ref(), self.cache);
                 // The strong reference must die *before* the completion
                 // signal: once `complete` wakes the submitter, the
                 // fabric's owner may drop it at any moment, and this
@@ -212,23 +168,24 @@ impl BatchWork {
                 drop(fabric);
                 outcome
             }
-            None => (
-                Err(NetError::HostUnreachable(format!(
+            None => Outcome {
+                result: Err(NetError::HostUnreachable(format!(
                     "network fabric dropped before dispatching {}",
                     request.url
                 ))),
-                0,
-            ),
+                served: Served::Wire,
+                retries: 0,
+                stored: false,
+            },
         };
         self.complete(index, outcome);
         true
     }
 
-    /// Drains the batch's pending list to empty. Run by the submitting thread
-    /// (and by workers holding navigation tickets, which are never preempted),
-    /// so the batch's concurrency is exactly `tickets + 1`. Returns how many
-    /// requests this call dispatched.
-    fn drain(&self) -> u64 {
+    /// Drains the batch's pending list to empty. Run by ticket holders and by
+    /// the joining thread, so the batch's concurrency is exactly its ticket
+    /// count plus the joiner. Returns how many requests this call sent.
+    pub(crate) fn drain(&self) -> u64 {
         let mut ran = 0;
         while self.drain_one() {
             ran += 1;
@@ -236,13 +193,7 @@ impl BatchWork {
         ran
     }
 
-    /// `true` while unclaimed requests remain — the preemption path only parks
-    /// a ticket that still has work behind it.
-    fn has_pending(&self) -> bool {
-        !self.pending.lock().expect("batch pending list").is_empty()
-    }
-
-    fn complete(&self, index: usize, outcome: (Result<Response, NetError>, u32)) {
+    fn complete(&self, index: usize, outcome: Outcome) {
         *self.slots[index].lock().expect("batch result slot") = Some(outcome);
         if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
             *self.done.lock().expect("batch done flag") = true;
@@ -250,14 +201,14 @@ impl BatchWork {
         }
     }
 
-    fn wait(&self) {
+    pub(crate) fn wait(&self) {
         let mut done = self.done.lock().expect("batch done flag");
         while !*done {
             done = self.finished.wait(done).expect("batch done flag");
         }
     }
 
-    fn take_results(&self) -> Vec<(Result<Response, NetError>, u32)> {
+    pub(crate) fn take_results(&self) -> Vec<Outcome> {
         self.slots
             .iter()
             .map(|slot| {
@@ -268,29 +219,6 @@ impl BatchWork {
             })
             .collect()
     }
-}
-
-/// Dispatches batch request `index` — under its pre-reserved sequence when the
-/// batch is logged, or unlogged for speculative batches — catching a panicking
-/// origin handler and converting it into [`NetError::FetchPanicked`]. Shared by
-/// the pooled drain, the inline (parallelism ≤ 1) path and the resilient retry
-/// loop ([`crate::fault`]) so a batch's panic semantics do not depend on which
-/// side of the fan-out cutover it landed on.
-pub(crate) fn dispatch_containing_panics(
-    fabric: &SharedNetwork,
-    base: Option<u64>,
-    index: usize,
-    request: Request,
-) -> Result<Response, NetError> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match base {
-        Some(base) => fabric.dispatch_sequenced(base + index as u64, request),
-        None => fabric.dispatch_unlogged(request),
-    }))
-    .unwrap_or_else(|_| {
-        Err(NetError::FetchPanicked(format!(
-            "origin handler panicked on batch request {index}"
-        )))
-    })
 }
 
 /// The state workers share: the lane-split ticket queue and the park/wake
@@ -305,18 +233,11 @@ struct PoolShared {
     /// Requests dispatched by pool workers (not the helping submitter) —
     /// observability.
     executed: AtomicU64,
-    /// Unclaimed navigation tickets, mirrored outside the queue lock: the
-    /// signal bulk/background drains poll between requests to decide whether
-    /// to yield. Mutated only under the queue lock; read lock-free.
-    navigation_queued: AtomicUsize,
-    /// Times a worker parked a bulk/background ticket mid-batch to pick up
-    /// queued navigation work.
-    preemptions: AtomicU64,
 }
 
 struct PoolQueue {
     /// Claim tickets per lane: popping one commits the worker to draining that
-    /// batch (until preempted, for the lower lanes).
+    /// batch to empty.
     navigation: VecDeque<Arc<BatchWork>>,
     bulk: VecDeque<Arc<BatchWork>>,
     background: VecDeque<Arc<BatchWork>>,
@@ -339,27 +260,19 @@ impl PoolQueue {
     /// background — with the anti-starvation credit letting one lower-lane
     /// ticket through after every [`NAVIGATION_CREDIT`] navigation pops made
     /// while lower-lane work sat waiting.
-    fn pop_ticket(&mut self) -> Option<(Arc<BatchWork>, Priority)> {
+    fn pop_ticket(&mut self) -> Option<Arc<BatchWork>> {
         let lower_waiting = !self.bulk.is_empty() || !self.background.is_empty();
         if !self.navigation.is_empty()
             && (!lower_waiting || self.navigation_streak < NAVIGATION_CREDIT)
         {
             self.navigation_streak += 1;
-            return self
-                .navigation
-                .pop_front()
-                .map(|w| (w, Priority::Navigation));
+            return self.navigation.pop_front();
         }
         self.navigation_streak = 0;
-        if let Some(work) = self.bulk.pop_front() {
-            return Some((work, Priority::Bulk));
-        }
-        if let Some(work) = self.background.pop_front() {
-            return Some((work, Priority::Background));
-        }
-        self.navigation
+        self.bulk
             .pop_front()
-            .map(|w| (w, Priority::Navigation))
+            .or_else(|| self.background.pop_front())
+            .or_else(|| self.navigation.pop_front())
     }
 }
 
@@ -386,8 +299,6 @@ impl FetchPool {
                 }),
                 available: Condvar::new(),
                 executed: AtomicU64::new(0),
-                navigation_queued: AtomicUsize::new(0),
-                preemptions: AtomicU64::new(0),
             }),
             handles: Mutex::new(Vec::new()),
             workers: AtomicUsize::new(0),
@@ -405,18 +316,12 @@ impl FetchPool {
         self.shared.executed.load(Ordering::Relaxed)
     }
 
-    /// Times a worker parked a bulk/background batch mid-drain to serve queued
-    /// navigation work.
-    pub(crate) fn preemptions(&self) -> u64 {
-        self.shared.preemptions.load(Ordering::Relaxed)
-    }
-
     /// Grows the pool to at least `wanted` workers (capped at
     /// [`MAX_POOL_WORKERS`]). Existing parked workers are reused; only the
     /// shortfall is spawned. First growth also covers the machine's available
     /// parallelism so a warm pool serves later, wider batches without a second
     /// growth stop.
-    fn ensure_workers(&self, wanted: usize) {
+    pub(crate) fn ensure_workers(&self, wanted: usize) {
         let wanted = wanted.min(MAX_POOL_WORKERS);
         if self.workers() >= wanted {
             return;
@@ -444,19 +349,12 @@ impl FetchPool {
     /// Enqueues `tickets` claim tickets for `work` on `priority`'s lane under
     /// one lock hold and wakes exactly that many parked workers — a small
     /// batch on a fully grown pool does not stampede every thread.
-    fn submit(&self, work: &Arc<BatchWork>, tickets: usize, priority: Priority) {
+    pub(crate) fn submit(&self, work: &Arc<BatchWork>, tickets: usize, priority: Priority) {
         {
             let mut queue = self.shared.queue.lock().expect("fetch pool queue");
             queue
                 .lane_mut(priority)
                 .extend((0..tickets).map(|_| Arc::clone(work)));
-            if priority == Priority::Navigation {
-                // Mirrored under the queue lock so pops (which decrement, also
-                // under the lock) can never race it below zero.
-                self.shared
-                    .navigation_queued
-                    .fetch_add(tickets, Ordering::Relaxed);
-            }
         }
         for _ in 0..tickets {
             self.shared.available.notify_one();
@@ -482,7 +380,6 @@ impl std::fmt::Debug for FetchPool {
         f.debug_struct("FetchPool")
             .field("workers", &self.workers())
             .field("jobs_executed", &self.jobs_executed())
-            .field("preemptions", &self.preemptions())
             .finish()
     }
 }
@@ -490,23 +387,13 @@ impl std::fmt::Debug for FetchPool {
 /// A worker: park on the condvar, drain a batch per claimed ticket, exit on
 /// shutdown. Pending tickets are drained even after shutdown is flagged, so a
 /// fabric dropped mid-batch still completes the batch before the join.
-///
-/// Bulk and background tickets are drained **preemptibly**: between requests
-/// the worker polls the navigation-queued signal, and when navigation work is
-/// waiting it parks the unfinished batch back at the front of its lane (the
-/// batch's concurrency bound is a ticket count, so parking the ticket keeps
-/// the bound exact) and loops around — the lane order then hands it the
-/// navigation ticket. Navigation tickets drain to completion.
 fn worker_loop(shared: &PoolShared) {
     loop {
-        let (work, lane) = {
+        let work = {
             let mut queue = shared.queue.lock().expect("fetch pool queue");
             loop {
-                if let Some((work, lane)) = queue.pop_ticket() {
-                    if lane == Priority::Navigation {
-                        shared.navigation_queued.fetch_sub(1, Ordering::Relaxed);
-                    }
-                    break (work, lane);
+                if let Some(work) = queue.pop_ticket() {
+                    break work;
                 }
                 if queue.shutdown {
                     return;
@@ -514,228 +401,17 @@ fn worker_loop(shared: &PoolShared) {
                 queue = shared.available.wait(queue).expect("fetch pool queue");
             }
         };
-        let mut ran = 0;
-        while work.drain_one() {
-            ran += 1;
-            if lane != Priority::Navigation
-                && shared.navigation_queued.load(Ordering::Relaxed) > 0
-                && work.has_pending()
-            {
-                {
-                    let mut queue = shared.queue.lock().expect("fetch pool queue");
-                    queue.lane_mut(lane).push_front(Arc::clone(&work));
-                }
-                shared.preemptions.fetch_add(1, Ordering::Relaxed);
-                shared.available.notify_one();
-                break;
-            }
-        }
+        let ran = work.drain();
         shared.executed.fetch_add(ran, Ordering::Relaxed);
-    }
-}
-
-/// An in-flight speculative batch on the background lane, created by
-/// [`SharedNetwork::submit_background_batch`]. The submitter is **not** a
-/// drain lane while the batch is in flight — the whole point is overlapping
-/// the speculation with other work — and collects the outcomes by joining.
-pub struct BackgroundBatch {
-    work: Arc<BatchWork>,
-}
-
-impl BackgroundBatch {
-    /// Blocks until every request has an outcome and returns them in plan
-    /// order. The joining thread helps drain whatever the pool has not claimed
-    /// yet, so a background batch completes even on a fabric whose pool is
-    /// saturated with higher-priority work.
-    #[must_use]
-    pub fn join(self) -> Vec<Result<Response, NetError>> {
-        self.work.drain();
-        self.work.wait();
-        self.work
-            .take_results()
-            .into_iter()
-            .map(|(outcome, _retries)| outcome)
-            .collect()
-    }
-}
-
-impl std::fmt::Debug for BackgroundBatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BackgroundBatch")
-            .field("requests", &self.work.slots.len())
-            .finish()
-    }
-}
-
-impl SharedNetwork {
-    /// Dispatches a pre-planned batch of requests — request `i` under sequence
-    /// `base + i` — across the fabric's persistent worker pool, returning the
-    /// outcomes in plan order. `priority` picks the queue lane the batch's
-    /// claim tickets ride (see [`Priority`]); it never changes the results,
-    /// only how soon a loaded pool gets to them.
-    ///
-    /// `parallelism` bounds how many fetches run concurrently, **exactly**: the
-    /// batch enqueues `parallelism - 1` claim tickets and only ticket holders
-    /// (plus the calling thread) can claim its requests, so even a fully grown
-    /// pool cannot run a narrow batch wider than asked. At `1` the batch
-    /// dispatches inline on the calling thread in plan order — byte-identical
-    /// to the sequential oracle, no pool involvement. Above `1`, the calling
-    /// thread submits the tickets, drains its own batch alongside the woken
-    /// workers (it is worker 0, as the scoped-thread loader's navigating
-    /// thread was), and parks on the batch's condvar only while ticket holders
-    /// finish the tail.
-    ///
-    /// # Errors
-    ///
-    /// Each slot carries its own [`NetError`] — one unreachable origin fails
-    /// that fetch, and a panicking origin handler fails its own slot with
-    /// [`NetError::FetchPanicked`]; neither hangs or fails the batch.
-    pub fn dispatch_batch(
-        self: &Arc<Self>,
-        base: u64,
-        requests: Vec<Request>,
-        parallelism: usize,
-        priority: Priority,
-    ) -> Vec<Result<Response, NetError>> {
-        self.dispatch_batch_with_policy(
-            base,
-            requests,
-            parallelism,
-            priority,
-            &FetchPolicy::disabled(),
-        )
-        .into_iter()
-        .map(|(outcome, _retries)| outcome)
-        .collect()
-    }
-
-    /// [`dispatch_batch`](SharedNetwork::dispatch_batch) through the resilient
-    /// fetch path: each slot runs the bounded-retry loop of
-    /// [`crate::fault`] (breaker admission, verbatim re-dispatch of the
-    /// already-mediated request, virtual backoff metered against the batch's
-    /// shared deadline budget on the fabric clock) and reports how many
-    /// retries it consumed alongside its outcome. A disabled policy is the
-    /// exact bare path — no budget allocation, no request clones.
-    ///
-    /// # Errors
-    ///
-    /// Each slot carries its own final [`NetError`] exactly as in
-    /// [`dispatch_batch`](SharedNetwork::dispatch_batch), plus
-    /// [`NetError::Timeout`] for exhausted injected faults and
-    /// [`NetError::CircuitOpen`] when the origin's breaker refused admission.
-    pub fn dispatch_batch_with_policy(
-        self: &Arc<Self>,
-        base: u64,
-        requests: Vec<Request>,
-        parallelism: usize,
-        priority: Priority,
-        policy: &FetchPolicy,
-    ) -> Vec<(Result<Response, NetError>, u32)> {
-        let entries = requests.into_iter().enumerate().collect();
-        self.dispatch_batch_offsets_with_policy(base, entries, parallelism, priority, policy)
-    }
-
-    /// [`dispatch_batch_with_policy`](SharedNetwork::dispatch_batch_with_policy)
-    /// with explicit per-request sequence offsets: entry `(offset, request)`
-    /// logs under `base + offset`, and results come back in entry order. The
-    /// single-flight loader uses this to dispatch a plan whose duplicate slots
-    /// were coalesced away — the surviving first occurrences keep their exact
-    /// plan positions in the sequence-sorted log, and the skipped duplicates'
-    /// sequences are filled by [`record_cache_hit`](SharedNetwork::record_cache_hit)
-    /// at fan-out time.
-    ///
-    /// # Errors
-    ///
-    /// Per-slot, exactly as
-    /// [`dispatch_batch_with_policy`](SharedNetwork::dispatch_batch_with_policy).
-    pub fn dispatch_batch_offsets_with_policy(
-        self: &Arc<Self>,
-        base: u64,
-        entries: Vec<(usize, Request)>,
-        parallelism: usize,
-        priority: Priority,
-        policy: &FetchPolicy,
-    ) -> Vec<(Result<Response, NetError>, u32)> {
-        let count = entries.len();
-        if count == 0 {
-            return Vec::new();
-        }
-        let budget = (!policy.is_disabled()).then(|| Arc::new(BatchBudget::new(self, *policy)));
-        let parallelism = parallelism.min(count);
-        if parallelism <= 1 {
-            // Same panic containment as the pooled drain: whether a batch lands
-            // on the inline or the fanned-out side of the cutover must not
-            // change what a poisoned handler does to the navigating thread.
-            return entries
-                .into_iter()
-                .map(|(offset, request)| match &budget {
-                    Some(budget) => {
-                        dispatch_slot_resilient(self, Some(base), offset, request, budget)
-                    }
-                    None => (
-                        dispatch_containing_panics(self, Some(base), offset, request),
-                        0,
-                    ),
-                })
-                .collect();
-        }
-        let work = BatchWork::with_offsets(self, Some(base), entries, budget);
-        // The submitter is one of the `parallelism` lanes; ticket the rest.
-        self.pool().ensure_workers(parallelism - 1);
-        self.pool().submit(&work, parallelism - 1, priority);
-        work.drain();
-        work.wait();
-        work.take_results()
-    }
-
-    /// Submits an **unlogged** speculative batch on the background lane and
-    /// returns immediately — the prefetch side of the scheduler. The requests
-    /// dispatch with full latency and panic containment but are never recorded
-    /// in the sequence-ordered log (a consumed prefetch hit is logged at
-    /// consumption time instead), so speculation cannot perturb what the
-    /// oracle-equivalence harness compares.
-    ///
-    /// Unlike [`dispatch_batch`](SharedNetwork::dispatch_batch), the caller is
-    /// not a drain lane: all `parallelism` tickets go to the pool so the
-    /// speculation overlaps whatever the caller does next. Collect the
-    /// outcomes with [`BackgroundBatch::join`].
-    pub fn submit_background_batch(
-        self: &Arc<Self>,
-        requests: Vec<Request>,
-        parallelism: usize,
-    ) -> BackgroundBatch {
-        self.submit_background_batch_with_policy(requests, parallelism, &FetchPolicy::disabled())
-    }
-
-    /// [`submit_background_batch`](SharedNetwork::submit_background_batch)
-    /// through the resilient fetch path: each speculative slot spends the
-    /// bounded retry budget of `policy` (breaker admission, virtual backoff
-    /// against the batch deadline), raising prefetch hit rates under flaky
-    /// origins. Speculation stays unlogged either way — retries happen on the
-    /// background lane and only a consumed hit ever reaches the log — so the
-    /// oracle-equivalence harness sees nothing new.
-    pub fn submit_background_batch_with_policy(
-        self: &Arc<Self>,
-        requests: Vec<Request>,
-        parallelism: usize,
-        policy: &FetchPolicy,
-    ) -> BackgroundBatch {
-        let count = requests.len();
-        let budget = (!policy.is_disabled()).then(|| Arc::new(BatchBudget::new(self, *policy)));
-        let work = BatchWork::new(self, None, requests, budget);
-        if count > 0 {
-            let tickets = parallelism.clamp(1, count);
-            self.pool().ensure_workers(tickets);
-            self.pool().submit(&work, tickets, Priority::Background);
-        }
-        BackgroundBatch { work }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::StatusCode;
+    use crate::dispatch::{Dispatch, Sequence};
+    use crate::fault::FetchPolicy;
+    use crate::message::{Response, StatusCode};
     use std::time::Duration;
 
     fn echo(req: &Request) -> Response {
@@ -759,11 +435,52 @@ mod tests {
         (fabric.reserve_sequences(count as u64), requests)
     }
 
+    /// Sends `requests` as one lane of a plan logged from `base`.
+    fn send_lane(
+        fabric: &Arc<SharedNetwork>,
+        base: u64,
+        requests: Vec<Request>,
+        parallelism: usize,
+        lane: Priority,
+        policy: FetchPolicy,
+    ) -> Vec<Outcome> {
+        let how = Dispatch {
+            sequence: Sequence::Reserved(base),
+            policy,
+            ..Dispatch::default()
+        };
+        let plan = requests
+            .into_iter()
+            .map(|request| (request, lane))
+            .collect();
+        fabric.send_plan(plan, how, parallelism).join()
+    }
+
+    fn send_batch(
+        fabric: &Arc<SharedNetwork>,
+        base: u64,
+        requests: Vec<Request>,
+        parallelism: usize,
+        lane: Priority,
+    ) -> Vec<Result<Arc<Response>, NetError>> {
+        send_lane(
+            fabric,
+            base,
+            requests,
+            parallelism,
+            lane,
+            FetchPolicy::disabled(),
+        )
+        .into_iter()
+        .map(|outcome| outcome.result)
+        .collect()
+    }
+
     #[test]
     fn batch_results_and_log_read_in_plan_order() {
-        let fabric = fabric_with_origins(4, Duration::ZERO);
+        let fabric = fabric_with_origins(4, Duration::from_micros(50));
         let (base, requests) = plan(&fabric, 8, 4);
-        let results = fabric.dispatch_batch(base, requests, 4, Priority::Bulk);
+        let results = send_batch(&fabric, base, requests, 4, Priority::Bulk);
         assert_eq!(results.len(), 8);
         for (i, result) in results.iter().enumerate() {
             assert_eq!(result.as_ref().unwrap().body, format!("/r{i}"));
@@ -777,7 +494,18 @@ mod tests {
     fn parallelism_one_never_touches_the_pool() {
         let fabric = fabric_with_origins(2, Duration::ZERO);
         let (base, requests) = plan(&fabric, 4, 2);
-        let results = fabric.dispatch_batch(base, requests, 1, Priority::Navigation);
+        let results = send_batch(&fabric, base, requests, 1, Priority::Navigation);
+        assert!(results.iter().all(Result::is_ok));
+        assert_eq!(fabric.fetch_pool_workers(), 0, "inline path spawns nothing");
+    }
+
+    #[test]
+    fn lanes_below_the_fanout_cutover_run_inline() {
+        // Zero-latency origins estimate far below the cutover: even a wide
+        // plan runs on the calling thread and never grows the pool.
+        let fabric = fabric_with_origins(2, Duration::ZERO);
+        let (base, requests) = plan(&fabric, 8, 2);
+        let results = send_batch(&fabric, base, requests, 4, Priority::Bulk);
         assert!(results.iter().all(Result::is_ok));
         assert_eq!(fabric.fetch_pool_workers(), 0, "inline path spawns nothing");
     }
@@ -787,13 +515,13 @@ mod tests {
         let fabric = fabric_with_origins(4, Duration::from_micros(50));
         for _ in 0..3 {
             let (base, requests) = plan(&fabric, 8, 4);
-            let results = fabric.dispatch_batch(base, requests, 4, Priority::Bulk);
+            let results = send_batch(&fabric, base, requests, 4, Priority::Bulk);
             assert!(results.iter().all(Result::is_ok));
         }
         let after_first = fabric.fetch_pool_workers();
         assert!(after_first >= 3, "pool retains its parked workers");
         let (base, requests) = plan(&fabric, 8, 4);
-        fabric.dispatch_batch(base, requests, 4, Priority::Bulk);
+        let _ = send_batch(&fabric, base, requests, 4, Priority::Bulk);
         assert_eq!(
             fabric.fetch_pool_workers(),
             after_first,
@@ -804,24 +532,24 @@ mod tests {
 
     #[test]
     fn unreachable_origins_fail_their_slot_not_the_batch() {
-        let fabric = fabric_with_origins(2, Duration::ZERO);
+        let fabric = fabric_with_origins(2, Duration::from_micros(100));
         let base = fabric.reserve_sequences(3);
         let requests = vec![
             Request::get("http://h0.example/a").unwrap(),
             Request::get("http://nowhere.example/b").unwrap(),
             Request::get("http://h1.example/c").unwrap(),
         ];
-        let results = fabric.dispatch_batch(base, requests, 2, Priority::Bulk);
+        let results = send_batch(&fabric, base, requests, 2, Priority::Bulk);
         assert!(results[0].is_ok());
         assert!(matches!(results[1], Err(NetError::HostUnreachable(_))));
         assert!(results[2].is_ok());
-        // The unreachable dispatch is not logged, matching dispatch_sequenced.
+        // The unreachable dispatch is not logged: there is no response.
         assert_eq!(fabric.log_len(), 2);
     }
 
     #[test]
     fn panicking_handlers_fail_their_slot_and_spare_the_pool() {
-        let fabric = fabric_with_origins(1, Duration::ZERO);
+        let fabric = fabric_with_origins(1, Duration::from_micros(100));
         fabric.register("http://boom.example", |req: &Request| -> Response {
             panic!("handler exploded on {}", req.url.path())
         });
@@ -833,7 +561,7 @@ mod tests {
             Request::get("http://boom.example/d").unwrap(),
         ];
         // The batch completes — no hang — with the panicking slots failed.
-        let results = fabric.dispatch_batch(base, requests, 3, Priority::Bulk);
+        let results = send_batch(&fabric, base, requests, 3, Priority::Bulk);
         assert!(results[0].is_ok());
         assert!(matches!(results[1], Err(NetError::FetchPanicked(_))));
         assert!(results[2].is_ok());
@@ -842,7 +570,7 @@ mod tests {
         // to completion. (The panicked origin's handler mutex is poisoned, but
         // the pool and every other origin are unaffected.)
         let (base, requests) = plan(&fabric, 4, 1);
-        let results = fabric.dispatch_batch(base, requests, 3, Priority::Bulk);
+        let results = send_batch(&fabric, base, requests, 3, Priority::Bulk);
         assert!(results.iter().all(Result::is_ok));
     }
 
@@ -862,7 +590,7 @@ mod tests {
             Request::get("http://boom.example/b").unwrap(),
             Request::get("http://h0.example/c").unwrap(),
         ];
-        let results = fabric.dispatch_batch(base, requests, 1, Priority::Bulk);
+        let results = send_batch(&fabric, base, requests, 1, Priority::Bulk);
         assert!(results[0].is_ok());
         assert!(matches!(results[1], Err(NetError::FetchPanicked(_))));
         assert!(results[2].is_ok());
@@ -880,22 +608,25 @@ mod tests {
         for k in 0..4 {
             let in_flight = Arc::clone(&in_flight);
             let high_water = Arc::clone(&high_water);
-            fabric.register(&format!("http://h{k}.example"), move |req: &Request| {
+            let origin = format!("http://h{k}.example");
+            fabric.register(&origin, move |req: &Request| {
                 let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
                 high_water.fetch_max(now, Ordering::SeqCst);
                 std::thread::sleep(Duration::from_micros(200));
                 in_flight.fetch_sub(1, Ordering::SeqCst);
                 Response::ok_text(req.url.path().to_string())
             });
+            // Known-slow origins: every batch clears the fan-out cutover.
+            fabric.set_latency(&origin, Duration::from_micros(50));
         }
         // Grow the pool to 4 with a wide batch first.
         let (base, requests) = plan(&fabric, 8, 4);
-        fabric.dispatch_batch(base, requests, 5, Priority::Bulk);
+        let _ = send_batch(&fabric, base, requests, 5, Priority::Bulk);
         assert!(fabric.fetch_pool_workers() >= 4);
         // Now a narrow batch: the bound must hold despite the grown pool.
         high_water.store(0, Ordering::SeqCst);
         let (base, requests) = plan(&fabric, 12, 4);
-        let results = fabric.dispatch_batch(base, requests, 2, Priority::Bulk);
+        let results = send_batch(&fabric, base, requests, 2, Priority::Bulk);
         assert!(results.iter().all(Result::is_ok));
         assert!(
             high_water.load(Ordering::SeqCst) <= 2,
@@ -912,7 +643,7 @@ mod tests {
                 let fabric = Arc::clone(&fabric);
                 scope.spawn(move || {
                     let (base, requests) = plan(&fabric, 8, 4);
-                    let results = fabric.dispatch_batch(base, requests, 4, Priority::Bulk);
+                    let results = send_batch(&fabric, base, requests, 4, Priority::Bulk);
                     assert!(results.iter().all(Result::is_ok));
                 });
             }
@@ -927,12 +658,13 @@ mod tests {
         fabric.register("http://deny.example", |_req: &Request| {
             Response::error(StatusCode::FORBIDDEN, "no")
         });
+        fabric.set_latency("http://deny.example", Duration::from_micros(100));
         let base = fabric.reserve_sequences(2);
         let requests = vec![
             Request::get("http://deny.example/x").unwrap(),
             Request::get("http://deny.example/y").unwrap(),
         ];
-        let results = fabric.dispatch_batch(base, requests, 2, Priority::Bulk);
+        let results = send_batch(&fabric, base, requests, 2, Priority::Bulk);
         for result in results {
             assert_eq!(result.unwrap().status, StatusCode::FORBIDDEN);
         }
@@ -945,9 +677,8 @@ mod tests {
         // one bulk ticket through after NAVIGATION_CREDIT consecutive
         // navigation pops, and drain background last.
         let fabric = fabric_with_origins(1, Duration::ZERO);
-        let nav = BatchWork::new(&fabric, Some(0), Vec::new(), None);
-        let bulk = BatchWork::new(&fabric, Some(0), Vec::new(), None);
-        let background = BatchWork::new(&fabric, None, Vec::new(), None);
+        let batch = || BatchWork::new(&fabric, Vec::new(), None, CacheLayers::default());
+        let (nav, bulk, background) = (batch(), batch(), batch());
         let mut queue = PoolQueue {
             navigation: (0..6).map(|_| Arc::clone(&nav)).collect(),
             bulk: (0..2).map(|_| Arc::clone(&bulk)).collect(),
@@ -956,10 +687,16 @@ mod tests {
             shutdown: false,
         };
         let mut order = Vec::new();
-        while let Some((_, lane)) = queue.pop_ticket() {
-            order.push(lane);
-        }
         use Priority::{Background, Bulk, Navigation};
+        while let Some(work) = queue.pop_ticket() {
+            order.push(if Arc::ptr_eq(&work, &nav) {
+                Navigation
+            } else if Arc::ptr_eq(&work, &bulk) {
+                Bulk
+            } else {
+                Background
+            });
+        }
         assert_eq!(
             order,
             vec![
@@ -974,35 +711,38 @@ mod tests {
     #[test]
     fn background_batches_dispatch_unlogged_and_join_in_plan_order() {
         let fabric = fabric_with_origins(2, Duration::from_micros(50));
-        let requests: Vec<Request> = (0..4)
-            .map(|i| Request::get(&format!("http://h{}.example/bg{i}", i % 2)).unwrap())
+        let plan: Vec<(Request, Priority)> = (0..4)
+            .map(|i| {
+                let url = format!("http://h{}.example/bg{i}", i % 2);
+                (Request::get(&url).unwrap(), Priority::Background)
+            })
             .collect();
-        let batch = fabric.submit_background_batch(requests, 2);
-        let results = batch.join();
+        let unlogged = Dispatch {
+            sequence: Sequence::Unlogged,
+            ..Dispatch::default()
+        };
+        let results = fabric.send_plan(plan, unlogged, 2).join();
         assert_eq!(results.len(), 4);
-        for (i, result) in results.iter().enumerate() {
-            assert_eq!(result.as_ref().unwrap().body, format!("/bg{i}"));
+        for (i, outcome) in results.iter().enumerate() {
+            assert_eq!(outcome.result.as_ref().unwrap().body, format!("/bg{i}"));
         }
         // Speculative dispatches never touch the sequence-ordered log.
         assert_eq!(fabric.log_len(), 0);
         // An empty batch joins immediately instead of parking forever.
-        assert!(fabric
-            .submit_background_batch(Vec::new(), 4)
-            .join()
-            .is_empty());
+        assert!(fabric.send_plan(Vec::new(), unlogged, 4).join().is_empty());
     }
 
     #[test]
     fn resilient_batches_retry_faulted_slots_and_keep_the_log_in_plan_order() {
         use crate::fault::FaultPlan;
-        let fabric = fabric_with_origins(2, Duration::ZERO);
+        let fabric = fabric_with_origins(2, Duration::from_micros(50));
         // The first dispatch to h0 times out once; a single retry heals it.
         fabric.inject_fault("http://h0.example", FaultPlan::new().fail_first(1));
         let (base, requests) = plan(&fabric, 6, 2);
         let policy = FetchPolicy::default().with_max_retries(2);
-        let results = fabric.dispatch_batch_with_policy(base, requests, 3, Priority::Bulk, &policy);
-        assert!(results.iter().all(|(outcome, _)| outcome.is_ok()));
-        let total_retries: u32 = results.iter().map(|(_, retries)| *retries).sum();
+        let results = send_lane(&fabric, base, requests, 3, Priority::Bulk, policy);
+        assert!(results.iter().all(|outcome| outcome.result.is_ok()));
+        let total_retries: u32 = results.iter().map(|outcome| outcome.retries).sum();
         assert_eq!(total_retries, 1, "exactly the one faulted slot retried");
         assert_eq!(fabric.faults_injected(), 1);
         assert_eq!(fabric.retry_attempts(), 1);
@@ -1012,57 +752,5 @@ mod tests {
         let paths: Vec<String> = fabric.log().iter().map(|e| e.url.path().into()).collect();
         let expected: Vec<String> = (0..6).map(|i| format!("/r{i}")).collect();
         assert_eq!(paths, expected);
-    }
-
-    #[test]
-    fn queued_navigation_work_preempts_a_draining_bulk_batch() {
-        // Saturate the pool with one wide, slow bulk batch from a helper
-        // thread, then submit a navigation batch: workers finishing a bulk
-        // request must park the bulk ticket and serve navigation first. The
-        // preemption counter is the witness; the bulk batch still completes
-        // (anti-starvation is about fairness, completion is structural — the
-        // submitter always drains its own batch).
-        let fabric = Arc::new(SharedNetwork::new());
-        fabric.register("http://slow.example", |req: &Request| {
-            std::thread::sleep(Duration::from_millis(2));
-            Response::ok_text(req.url.path().to_string())
-        });
-        fabric.register("http://nav.example", echo);
-        // Many more requests than drain lanes: the batch's pending list must
-        // still hold work when the navigation batch arrives, because only a
-        // ticket with work behind it parks.
-        const BULK_REQUESTS: usize = 192;
-        let bulk_fabric = Arc::clone(&fabric);
-        let storm = std::thread::spawn(move || {
-            let base = bulk_fabric.reserve_sequences(BULK_REQUESTS as u64);
-            let requests = (0..BULK_REQUESTS)
-                .map(|i| Request::get(&format!("http://slow.example/b{i}")).unwrap())
-                .collect();
-            let results = bulk_fabric.dispatch_batch(base, requests, 48, Priority::Bulk);
-            assert!(results.iter().all(Result::is_ok));
-        });
-        // Wait until the storm's first round has demonstrably completed (its
-        // entries reach the log) so every pool worker is mid-drain, then ask
-        // for navigation work.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while fabric.log_len() < 8 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        let base = fabric.reserve_sequences(4);
-        let requests = (0..4)
-            .map(|i| Request::get(&format!("http://nav.example/n{i}")).unwrap())
-            .collect();
-        let results = fabric.dispatch_batch(base, requests, 4, Priority::Navigation);
-        assert!(results.iter().all(Result::is_ok));
-        storm.join().unwrap();
-        assert!(
-            fabric.fetch_pool_preemptions() >= 1,
-            "no bulk worker yielded to the queued navigation batch"
-        );
-        assert_eq!(
-            fabric.log_len(),
-            BULK_REQUESTS + 4,
-            "both batches completed"
-        );
     }
 }

@@ -16,12 +16,16 @@
 //!   whether a session cookie was attached to a forged request. [`SharedNetwork`]
 //!   is the `Arc`-shareable fabric (per-origin handler mutexes, lock-striped
 //!   sequence-ordered log, simulated latency); [`Network`] is the single-owner
-//!   convenience handle over one.
+//!   convenience handle over one,
+//! * [`Dispatch`] — how a request travels: the one way to send one
+//!   ([`SharedNetwork::send`]) or a whole page plan
+//!   ([`SharedNetwork::send_plan`]), with its log sequence, retry
+//!   [`FetchPolicy`] and [`CacheLayers`].
 //!
 //! # Example
 //!
 //! ```
-//! use escudo_net::{Method, Network, Request, Response, Server, Url};
+//! use escudo_net::{Dispatch, Method, Network, Request, Response, Server, Url};
 //!
 //! struct Hello;
 //! impl Server for Hello {
@@ -33,7 +37,7 @@
 //! let mut net = Network::new();
 //! net.register("http://hello.example", Hello);
 //! let req = Request::new(Method::Get, Url::parse("http://hello.example/world")?);
-//! let resp = net.dispatch(req)?;
+//! let resp = net.fabric().send(req, Dispatch::default()).result?;
 //! assert!(resp.body.contains("hello /world"));
 //! # Ok::<(), escudo_net::NetError>(())
 //! ```
@@ -43,6 +47,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod cookie;
+pub mod dispatch;
 pub mod error;
 pub mod fault;
 pub mod fetch_pool;
@@ -56,9 +61,10 @@ pub mod shared_network;
 pub mod url;
 
 pub use cookie::{Cookie, SetCookie};
+pub use dispatch::{Dispatch, Outcome, PlanHandle, Sequence, Served};
 pub use error::NetError;
 pub use fault::{BreakerPhase, FaultOutcome, FaultPlan, FaultSchedule, FetchPolicy};
-pub use fetch_pool::{BackgroundBatch, Priority};
+pub use fetch_pool::Priority;
 pub use headers::Headers;
 pub use jar::CookieJar;
 pub use message::{Method, Request, Response, StatusCode};

@@ -16,7 +16,6 @@ use std::sync::Arc;
 
 use escudo_core::Origin;
 
-use crate::error::NetError;
 use crate::message::{Method, Request, Response};
 use crate::shared_network::SharedNetwork;
 use crate::url::Url;
@@ -119,16 +118,6 @@ impl Network {
         self.fabric.knows(url)
     }
 
-    /// Dispatches a request to the server registered for its origin, logging it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::HostUnreachable`] when no server is registered for the
-    /// request's origin.
-    pub fn dispatch(&self, request: Request) -> Result<Response, NetError> {
-        self.fabric.dispatch(request)
-    }
-
     /// The request log in global sequence order, oldest first. (Owned snapshot:
     /// the fabric's log is striped across locks, so entries cannot be borrowed.)
     #[must_use]
@@ -166,7 +155,13 @@ impl fmt::Debug for Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dispatch::Dispatch;
+    use crate::error::NetError;
     use crate::message::StatusCode;
+
+    fn send(net: &Network, request: Request) -> Result<Arc<Response>, NetError> {
+        net.fabric().send(request, Dispatch::default()).result
+    }
 
     fn echo_server(req: &Request) -> Response {
         Response::ok_text(format!("{} {}", req.method, req.url.path()))
@@ -180,22 +175,16 @@ mod tests {
             Response::error(StatusCode::FORBIDDEN, "nope")
         });
 
-        let ra = net
-            .dispatch(Request::get("http://a.example/x").unwrap())
-            .unwrap();
+        let ra = send(&net, Request::get("http://a.example/x").unwrap()).unwrap();
         assert_eq!(ra.body, "GET /x");
-        let rb = net
-            .dispatch(Request::get("http://b.example/y").unwrap())
-            .unwrap();
+        let rb = send(&net, Request::get("http://b.example/y").unwrap()).unwrap();
         assert_eq!(rb.status, StatusCode::FORBIDDEN);
     }
 
     #[test]
     fn unknown_hosts_are_unreachable() {
         let net = Network::new();
-        let err = net
-            .dispatch(Request::get("http://nowhere.example/").unwrap())
-            .unwrap_err();
+        let err = send(&net, Request::get("http://nowhere.example/").unwrap()).unwrap_err();
         assert!(matches!(err, NetError::HostUnreachable(_)));
     }
 
@@ -203,12 +192,8 @@ mod tests {
     fn different_port_is_a_different_origin() {
         let mut net = Network::new();
         net.register("http://a.example:8080", echo_server);
-        assert!(net
-            .dispatch(Request::get("http://a.example/").unwrap())
-            .is_err());
-        assert!(net
-            .dispatch(Request::get("http://a.example:8080/").unwrap())
-            .is_ok());
+        assert!(send(&net, Request::get("http://a.example/").unwrap()).is_err());
+        assert!(send(&net, Request::get("http://a.example:8080/").unwrap()).is_ok());
     }
 
     #[test]
@@ -218,9 +203,8 @@ mod tests {
         let req = Request::get("http://forum.example/post")
             .unwrap()
             .with_header("Cookie", "sid=abc; data=1");
-        net.dispatch(req).unwrap();
-        net.dispatch(Request::get("http://forum.example/plain").unwrap())
-            .unwrap();
+        send(&net, req).unwrap();
+        send(&net, Request::get("http://forum.example/plain").unwrap()).unwrap();
 
         assert_eq!(net.log().len(), 2);
         assert_eq!(net.log()[0].cookie_names, vec!["sid", "data"]);
@@ -244,12 +228,8 @@ mod tests {
         });
         assert!(net.knows(&Url::parse("http://count.example/a").unwrap()));
         assert!(!net.knows(&Url::parse("http://other.example/").unwrap()));
-        let first = net
-            .dispatch(Request::get("http://count.example/").unwrap())
-            .unwrap();
-        let second = net
-            .dispatch(Request::get("http://count.example/").unwrap())
-            .unwrap();
+        let first = send(&net, Request::get("http://count.example/").unwrap()).unwrap();
+        let second = send(&net, Request::get("http://count.example/").unwrap()).unwrap();
         assert_eq!(first.body, "1");
         assert_eq!(second.body, "2");
     }
@@ -262,8 +242,7 @@ mod tests {
         // A second handle over the same fabric reaches the same server…
         let b = Network::with_fabric(Arc::clone(&fabric));
         assert!(b.knows(&Url::parse("http://app.example/").unwrap()));
-        b.dispatch(Request::get("http://app.example/from-b").unwrap())
-            .unwrap();
+        send(&b, Request::get("http://app.example/from-b").unwrap()).unwrap();
         // …and both handles read one shared, sequence-ordered log.
         assert_eq!(a.log().len(), 1);
         assert_eq!(a.log()[0].url.path(), "/from-b");

@@ -63,7 +63,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// persistent response cache serves `max-age` entries — and an entry in a
 /// foreign layer is an ordinary miss, left untouched for the sessions that did
 /// opt in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheLayers {
     /// Serve (and consume) one-shot speculative-prefetch entries.
     pub one_shot: bool,
@@ -72,11 +72,6 @@ pub struct CacheLayers {
 }
 
 impl CacheLayers {
-    /// Both layers — the historical `take_prefetched` contract.
-    pub const BOTH: CacheLayers = CacheLayers {
-        one_shot: true,
-        persistent: true,
-    };
     /// Only one-shot speculative entries (a prefetch-only session).
     pub const ONE_SHOT: CacheLayers = CacheLayers {
         one_shot: true,
@@ -87,6 +82,11 @@ impl CacheLayers {
         one_shot: false,
         persistent: true,
     };
+
+    /// `true` when neither layer is opted into (the default).
+    pub(crate) fn is_empty(self) -> bool {
+        !self.one_shot && !self.persistent
+    }
 
     fn serves(self, one_shot: bool) -> bool {
         if one_shot {
@@ -188,20 +188,25 @@ impl ResponseCache {
     /// `Set-Cookie` is never shared (it is per-recipient state — caching it
     /// would replay one session's credential into another session whose
     /// mediated header matches), and persistent entries additionally require an
-    /// explicit `max-age` so dynamic pages never enter the shared cache.
-    /// One-shot (prefetch) entries are stored without requiring `max-age`
-    /// (falling back to [`ONE_SHOT_DEFAULT_TTL_NS`]) — but a one-shot store
-    /// never downgrades a fresh persistent entry to consumed-on-first-hit.
+    /// explicit `max-age` and a 2xx status, so dynamic pages and error pages
+    /// never enter the shared cache. One-shot (prefetch) entries accept any
+    /// status and need no `max-age` (falling back to
+    /// [`ONE_SHOT_DEFAULT_TTL_NS`]) — but a one-shot store never downgrades a
+    /// fresh persistent entry to consumed-on-first-hit. The entry shares the
+    /// caller's `Arc`, so admitting a response copies no body.
     pub fn store(
         &self,
         method: Method,
         url: &str,
         cookie_header: &str,
-        response: Response,
+        response: Arc<Response>,
         now_ns: u64,
         one_shot: bool,
     ) -> bool {
-        if response.headers.cache_no_store() || response.headers.get("Set-Cookie").is_some() {
+        if response.headers.cache_no_store()
+            || response.headers.get("Set-Cookie").is_some()
+            || (!one_shot && !response.status.is_success())
+        {
             return false;
         }
         let max_age_ns = response
@@ -226,7 +231,7 @@ impl ResponseCache {
         let touched = shard.tick;
         let entry = CacheEntry {
             cookie_header: cookie_header.to_string(),
-            response: Arc::new(response),
+            response,
             stored_at_ns: now_ns,
             ttl_ns,
             one_shot,
@@ -390,9 +395,15 @@ impl ResponseCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::StatusCode;
 
-    fn cacheable(body: &str, max_age: u64) -> Response {
-        Response::ok_text(body).with_max_age(max_age)
+    const BOTH: CacheLayers = CacheLayers {
+        one_shot: true,
+        persistent: true,
+    };
+
+    fn cacheable(body: &str, max_age: u64) -> Arc<Response> {
+        Arc::new(Response::ok_text(body).with_max_age(max_age))
     }
 
     #[test]
@@ -402,7 +413,7 @@ mod tests {
             Method::Get,
             "http://a/x",
             "",
-            Response::ok_text("dynamic"),
+            Arc::new(Response::ok_text("dynamic")),
             0,
             false
         ));
@@ -416,24 +427,42 @@ mod tests {
         ));
         assert_eq!(cache.len(), 1);
         let hit = cache
-            .lookup(Method::Get, "http://a/x", "", 0, CacheLayers::BOTH)
+            .lookup(Method::Get, "http://a/x", "", 0, BOTH)
             .expect("hit");
         assert!(!hit.one_shot);
         assert_eq!(hit.response.body, "static");
         assert_eq!(cache.hits(), 1);
         // A hit leaves a persistent entry in place.
         assert!(cache
-            .lookup(Method::Get, "http://a/x", "", 0, CacheLayers::BOTH)
+            .lookup(Method::Get, "http://a/x", "", 0, BOTH)
             .is_some());
+    }
+
+    #[test]
+    fn persistent_entries_refuse_non_success_statuses() {
+        let cache = ResponseCache::new(8, 2);
+        let missing = Arc::new(Response::error(StatusCode::NOT_FOUND, "gone").with_max_age(60));
+        assert!(!cache.store(
+            Method::Get,
+            "http://a/404",
+            "",
+            Arc::clone(&missing),
+            0,
+            false
+        ));
+        assert!(cache.is_empty());
+        assert_eq!(cache.stored(), 0);
+        // Speculation keeps its old rule: a one-shot entry admits any status.
+        assert!(cache.store(Method::Get, "http://a/404", "", missing, 0, true));
     }
 
     #[test]
     fn no_store_is_honored_for_both_layers() {
         let cache = ResponseCache::new(8, 2);
-        let secret = Response::ok_text("secret").with_max_age(60);
-        let mut secret = secret;
+        let mut secret = Response::ok_text("secret").with_max_age(60);
         secret.headers.set("Cache-Control", "no-store, max-age=60");
-        assert!(!cache.store(Method::Get, "http://a/s", "", secret.clone(), 0, false));
+        let secret = Arc::new(secret);
+        assert!(!cache.store(Method::Get, "http://a/s", "", Arc::clone(&secret), 0, false));
         assert!(!cache.store(Method::Get, "http://a/s", "", secret, 0, true));
         assert!(cache.is_empty());
     }
@@ -445,18 +474,18 @@ mod tests {
             Method::Get,
             "http://a/p",
             "sid=1",
-            Response::ok_text("pre"),
+            Arc::new(Response::ok_text("pre")),
             0,
             true
         ));
         assert_eq!(cache.one_shot_len(), 1);
         let hit = cache
-            .lookup(Method::Get, "http://a/p", "sid=1", 0, CacheLayers::BOTH)
+            .lookup(Method::Get, "http://a/p", "sid=1", 0, BOTH)
             .expect("hit");
         assert!(hit.one_shot);
         assert_eq!(cache.one_shot_hits(), 1);
         assert!(cache
-            .lookup(Method::Get, "http://a/p", "sid=1", 0, CacheLayers::BOTH)
+            .lookup(Method::Get, "http://a/p", "sid=1", 0, BOTH)
             .is_none());
         assert!(cache.is_empty());
     }
@@ -473,18 +502,12 @@ mod tests {
             false,
         );
         assert!(cache
-            .lookup(
-                Method::Get,
-                "http://a/x",
-                "sid=mallory",
-                0,
-                CacheLayers::BOTH
-            )
+            .lookup(Method::Get, "http://a/x", "sid=mallory", 0, BOTH)
             .is_none());
         assert_eq!(cache.stale_discards(), 1);
         // Fail closed: the entry is gone, even for the original header.
         assert!(cache
-            .lookup(Method::Get, "http://a/x", "sid=alice", 0, CacheLayers::BOTH)
+            .lookup(Method::Get, "http://a/x", "sid=alice", 0, BOTH)
             .is_none());
         assert_eq!(cache.stale_discards(), 1);
     }
@@ -502,22 +525,10 @@ mod tests {
         );
         let just_before = 1_000 + 5_000_000_000 - 1;
         assert!(cache
-            .lookup(
-                Method::Get,
-                "http://a/x",
-                "",
-                just_before,
-                CacheLayers::BOTH
-            )
+            .lookup(Method::Get, "http://a/x", "", just_before, BOTH)
             .is_some());
         assert!(cache
-            .lookup(
-                Method::Get,
-                "http://a/x",
-                "",
-                just_before + 1,
-                CacheLayers::BOTH
-            )
+            .lookup(Method::Get, "http://a/x", "", just_before + 1, BOTH)
             .is_none());
         assert_eq!(cache.expired(), 1);
         assert!(cache.is_empty());
@@ -535,18 +546,14 @@ mod tests {
         // Overwriting an existing URL does not evict.
         let survivor = (0..32)
             .map(|i| format!("http://a/{i}"))
-            .find(|url| {
-                cache
-                    .lookup(Method::Get, url, "", 0, CacheLayers::BOTH)
-                    .is_some()
-            })
+            .find(|url| cache.lookup(Method::Get, url, "", 0, BOTH).is_some())
             .expect("some entry survives");
         let before = cache.evictions();
         cache.store(Method::Get, &survivor, "", cacheable("y", 60), 0, false);
         assert_eq!(cache.evictions(), before);
         assert_eq!(
             cache
-                .lookup(Method::Get, &survivor, "", 0, CacheLayers::BOTH)
+                .lookup(Method::Get, &survivor, "", 0, BOTH)
                 .expect("overwritten entry")
                 .response
                 .body,
@@ -557,9 +564,17 @@ mod tests {
     #[test]
     fn set_cookie_responses_are_refused_by_both_layers() {
         let cache = ResponseCache::new(8, 2);
-        let mut tainted = cacheable("per-user", 60);
+        let mut tainted = Response::ok_text("per-user").with_max_age(60);
         tainted.headers.append("Set-Cookie", "token=alice");
-        assert!(!cache.store(Method::Get, "http://a/t", "", tainted.clone(), 0, false));
+        let tainted = Arc::new(tainted);
+        assert!(!cache.store(
+            Method::Get,
+            "http://a/t",
+            "",
+            Arc::clone(&tainted),
+            0,
+            false
+        ));
         assert!(!cache.store(Method::Get, "http://a/t", "", tainted, 0, true));
         assert!(cache.is_empty());
         assert_eq!(cache.stored(), 0);
@@ -580,12 +595,12 @@ mod tests {
             Method::Get,
             "http://a/x",
             "",
-            Response::ok_text("spec"),
+            Arc::new(Response::ok_text("spec")),
             0,
             true
         ));
         let hit = cache
-            .lookup(Method::Get, "http://a/x", "", 0, CacheLayers::BOTH)
+            .lookup(Method::Get, "http://a/x", "", 0, BOTH)
             .expect("hit");
         assert!(!hit.one_shot, "the persistent entry survives");
         assert_eq!(hit.response.body, "keep");
@@ -596,18 +611,12 @@ mod tests {
             Method::Get,
             "http://a/x",
             "",
-            Response::ok_text("spec"),
+            Arc::new(Response::ok_text("spec")),
             after_expiry,
             true
         ));
         let hit = cache
-            .lookup(
-                Method::Get,
-                "http://a/x",
-                "",
-                after_expiry,
-                CacheLayers::BOTH,
-            )
+            .lookup(Method::Get, "http://a/x", "", after_expiry, BOTH)
             .expect("hit");
         assert!(hit.one_shot);
     }
@@ -619,7 +628,7 @@ mod tests {
             Method::Get,
             "http://a/p",
             "",
-            Response::ok_text("pre"),
+            Arc::new(Response::ok_text("pre")),
             0,
             true,
         );
@@ -629,25 +638,19 @@ mod tests {
                 "http://a/p",
                 "",
                 ONE_SHOT_DEFAULT_TTL_NS - 1,
-                CacheLayers::BOTH
+                BOTH
             )
             .is_some());
         cache.store(
             Method::Get,
             "http://a/p",
             "",
-            Response::ok_text("pre"),
+            Arc::new(Response::ok_text("pre")),
             0,
             true,
         );
         assert!(cache
-            .lookup(
-                Method::Get,
-                "http://a/p",
-                "",
-                ONE_SHOT_DEFAULT_TTL_NS,
-                CacheLayers::BOTH
-            )
+            .lookup(Method::Get, "http://a/p", "", ONE_SHOT_DEFAULT_TTL_NS, BOTH)
             .is_none());
         assert_eq!(cache.expired(), 1);
         assert!(cache.is_empty());
@@ -660,7 +663,7 @@ mod tests {
             Method::Get,
             "http://a/p",
             "",
-            Response::ok_text("pre"),
+            Arc::new(Response::ok_text("pre")),
             0,
             true,
         );
@@ -714,10 +717,10 @@ mod tests {
             false,
         );
         assert!(cache
-            .lookup(Method::Head, "http://a/x", "", 0, CacheLayers::BOTH)
+            .lookup(Method::Head, "http://a/x", "", 0, BOTH)
             .is_none());
         assert!(cache
-            .lookup(Method::Get, "http://a/x", "", 0, CacheLayers::BOTH)
+            .lookup(Method::Get, "http://a/x", "", 0, BOTH)
             .is_some());
     }
 }

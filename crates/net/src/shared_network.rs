@@ -28,12 +28,14 @@
 //!   synthetic service time to an origin, slept *outside* every lock — so the
 //!   pipelining win of overlapping slow fetches is measurable in-process, without
 //!   sockets.
-//! * **Persistent fetch worker pool.** [`SharedNetwork::dispatch_batch`] fans a
-//!   pre-planned request batch out over parked worker threads the fabric owns
-//!   and reuses across page loads ([`crate::fetch_pool`]) — submission costs a
-//!   queue push and a notify, not a thread spawn per page. The pool's queue has
-//!   two effective priority tiers (navigation preempts bulk/background, see
-//!   [`crate::fetch_pool::Priority`]).
+//! * **One request path.** [`SharedNetwork::send`] sends one request and
+//!   [`SharedNetwork::send_plan`] a whole page plan, each as a
+//!   [`Dispatch`](crate::Dispatch) describes: log sequence, retry policy and
+//!   cache layers ([`crate::dispatch`]). A plan fans out over parked worker
+//!   threads the fabric owns and reuses across page loads
+//!   ([`crate::fetch_pool`]) — submission costs a queue push and a notify, not
+//!   a thread spawn per page — with navigation-critical slots claimed ahead
+//!   of bulk and background ones ([`crate::fetch_pool::Priority`]).
 //! * **Mediation-keyed response cache.** The fabric owns one shared
 //!   [`ResponseCache`](crate::response_cache::ResponseCache): sharded,
 //!   capacity-bounded, holding `Arc<Response>` entries keyed by
@@ -44,7 +46,7 @@
 //!   never change a security decision, only skip a wire round trip whose
 //!   request bytes it already proved identical. Speculative prefetch is the
 //!   cache's *one-shot* layer: entries parked by background speculation are
-//!   consumed at most once, exactly as the old bespoke prefetch cache did.
+//!   consumed at most once.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -56,11 +58,9 @@ use escudo_core::{Clock, MonotonicClock, Origin};
 
 use crate::error::NetError;
 use crate::fault::FaultOutcome;
-use crate::message::{Method, Request, Response};
+use crate::message::{Request, Response};
 use crate::network::{LoggedRequest, Server};
-use crate::response_cache::{
-    CacheHit, CacheLayers, ResponseCache, RESPONSE_CACHE_CAPACITY, RESPONSE_CACHE_SHARDS,
-};
+use crate::response_cache::{ResponseCache, RESPONSE_CACHE_CAPACITY, RESPONSE_CACHE_SHARDS};
 
 /// Default number of log stripes (a power of two so stripe selection is a mask).
 pub const DEFAULT_LOG_STRIPE_COUNT: usize = 8;
@@ -116,12 +116,12 @@ pub struct SharedNetwork {
     dropped: AtomicU64,
     sequence: AtomicU64,
     /// The persistent fetch worker pool behind
-    /// [`dispatch_batch`](SharedNetwork::dispatch_batch): lazily-spawned parked
-    /// threads reused across every page load on this fabric.
+    /// [`send_plan`](SharedNetwork::send_plan): lazily-spawned parked threads
+    /// reused across every page load on this fabric.
     pool: crate::fetch_pool::FetchPool,
     /// The shared mediation-keyed response cache (persistent `max-age` layer
     /// plus the one-shot speculative-prefetch layer).
-    cache: ResponseCache,
+    pub(crate) cache: ResponseCache,
     /// Installed per-origin fault plans (independent of server registration —
     /// a plan may precede the origin it targets). See [`crate::fault`].
     pub(crate) faults: RwLock<HashMap<Origin, Arc<crate::fault::FaultState>>>,
@@ -188,8 +188,8 @@ impl SharedNetwork {
         &self.chaos
     }
 
-    /// The persistent fetch worker pool (crate-internal; batches go through
-    /// [`SharedNetwork::dispatch_batch`]).
+    /// The persistent fetch worker pool (crate-internal; plans go through
+    /// [`SharedNetwork::send_plan`]).
     pub(crate) fn pool(&self) -> &crate::fetch_pool::FetchPool {
         &self.pool
     }
@@ -206,13 +206,6 @@ impl SharedNetwork {
     #[must_use]
     pub fn fetch_pool_jobs_executed(&self) -> u64 {
         self.pool.jobs_executed()
-    }
-
-    /// Times a pool worker parked a bulk/background batch mid-drain to serve
-    /// queued navigation work — the priority queue's preemption witness.
-    #[must_use]
-    pub fn fetch_pool_preemptions(&self) -> u64 {
-        self.pool.preemptions()
     }
 
     /// Registers a server for an origin given as a URL string (the path is
@@ -289,11 +282,10 @@ impl SharedNetwork {
     /// larger of the configured latency and the EWMA of observed dispatch times
     /// (so a freshly configured latency counts before any sample exists, and
     /// expensive handlers count even with no configured latency). Zero when the
-    /// origin is unregistered or nothing is known yet. Planners use this to
-    /// decide whether fanning a batch of fetches out across threads can pay for
+    /// origin is unregistered or nothing is known yet. The plan path uses
+    /// this to decide whether fanning a lane out across threads can pay for
     /// the fan-out overhead.
-    #[must_use]
-    pub fn estimated_service_ns(&self, origin: &Origin) -> u64 {
+    pub(crate) fn estimated_service_ns(&self, origin: &Origin) -> u64 {
         self.handler(origin).map_or(0, |h| {
             h.latency_ns
                 .load(Ordering::Relaxed)
@@ -311,68 +303,28 @@ impl SharedNetwork {
     }
 
     /// Reserves a contiguous block of `count` sequence numbers and returns the
-    /// first. A planner that fixes its request order up front (the pipelined
-    /// subresource loader fixes *document* order) dispatches request *i* of its
-    /// plan via [`SharedNetwork::dispatch_sequenced`] with `start + i`: the
+    /// first. A planner that fixes its request order up front sends request
+    /// *i* of its plan under `start + i`
+    /// ([`Sequence::Reserved`](crate::Sequence::Reserved)): the
     /// sequence-sorted log then reads in plan order no matter which worker
-    /// finished first.
+    /// finished first. `reserve_sequences(0)` reads the counter.
     pub fn reserve_sequences(&self, count: u64) -> u64 {
         self.sequence.fetch_add(count, Ordering::Relaxed)
     }
 
-    /// Dispatches a request under a fresh sequence number.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::HostUnreachable`] when no server is registered for the
-    /// request's origin.
-    pub fn dispatch(&self, request: Request) -> Result<Response, NetError> {
-        let sequence = self.reserve_sequences(1);
-        self.dispatch_sequenced(sequence, request)
-    }
-
-    /// Dispatches a request under a caller-reserved sequence number: sleeps the
-    /// origin's simulated latency (outside all locks), takes the origin's handler
-    /// mutex for exactly one `handle` call, and records the log entry under
-    /// `sequence`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::HostUnreachable`] when no server is registered for the
-    /// request's origin. Unreachable dispatches are not logged (there is no
-    /// response to record), matching the single-owner `Network`.
-    pub fn dispatch_sequenced(
+    /// One wire attempt: [`service`](SharedNetwork::service) the request and,
+    /// when it is logged, record it under `sequence`. Unreachable and faulted
+    /// attempts are not logged — there is no response to record.
+    pub(crate) fn transmit(
         &self,
-        sequence: u64,
-        request: Request,
+        sequence: Option<u64>,
+        request: &Request,
     ) -> Result<Response, NetError> {
-        let response = self.service(&request)?;
-        self.record(
-            sequence,
-            LoggedRequest {
-                method: request.method,
-                url: request.url.clone(),
-                cookie_names: request.cookie_names(),
-                status: response.status.0,
-            },
-        );
+        let response = self.service(request)?;
+        if let Some(sequence) = sequence {
+            self.record(sequence, request, response.status.0);
+        }
         Ok(response)
-    }
-
-    /// Dispatches a request **without** recording a log entry: the speculative
-    /// (prefetch) path. Latency, the origin's handler mutex and the EWMA all
-    /// behave exactly as in [`dispatch_sequenced`](SharedNetwork::dispatch_sequenced);
-    /// only the sequence-ordered log is untouched, so speculation cannot
-    /// perturb what the oracle-equivalence harness compares. A consumed
-    /// cache hit is logged at consumption time via
-    /// [`record_cache_hit`](SharedNetwork::record_cache_hit).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::HostUnreachable`] when no server is registered for
-    /// the request's origin.
-    pub fn dispatch_unlogged(&self, request: Request) -> Result<Response, NetError> {
-        self.service(&request)
     }
 
     /// The shared dispatch machinery: consult the origin's fault plan, sleep
@@ -435,122 +387,28 @@ impl SharedNetwork {
         Ok(response)
     }
 
-    /// Stores a response in the shared mediation-keyed cache, fetched under the
-    /// plan summarized by `cookie_header` (the exact `Cookie` header value the
-    /// monitor attached, empty string for none). `one_shot` entries (speculative
-    /// prefetch) are consumed on first hit and need no `max-age`; persistent
-    /// entries require an explicit `Cache-Control: max-age=N`. `no-store`
-    /// responses are never stored, and neither is any response carrying
-    /// `Set-Cookie` — per-recipient state must not enter a cache shared across
-    /// sessions. Returns `true` when the response entered the cache.
-    pub fn cache_store(
-        &self,
-        method: Method,
-        url: &crate::url::Url,
-        cookie_header: &str,
-        response: Response,
-        one_shot: bool,
-    ) -> bool {
-        self.cache.store(
-            method,
-            &url.to_string(),
-            cookie_header,
-            response,
-            self.clock_now_ns(),
-            one_shot,
-        )
-    }
-
-    /// Looks up the shared cache for `(method, url)`, serving only the
-    /// [`CacheLayers`] the caller opted into (an entry in a foreign layer is an
-    /// ordinary miss, left in place), and **only** when `cookie_header` — the
-    /// header the consuming request just mediated for itself — matches the plan
-    /// the entry was stored under. On an in-layer mismatch the entry is
-    /// discarded (stale plan) and `None` is returned, so a cached response can
-    /// never substitute for a request the monitor would build differently
-    /// today. Expired entries (`max-age` lifetime passed on the fabric's
-    /// injectable clock) are discarded and counted the same way.
-    #[must_use]
-    pub fn cache_lookup(
-        &self,
-        method: Method,
-        url: &crate::url::Url,
-        cookie_header: &str,
-        layers: CacheLayers,
-    ) -> Option<CacheHit> {
-        self.cache.lookup(
-            method,
-            &url.to_string(),
-            cookie_header,
-            self.clock_now_ns(),
-            layers,
-        )
-    }
-
-    /// Parks a speculative response for `url` as a one-shot cache entry (see
-    /// [`cache_store`](SharedNetwork::cache_store)). Fresher speculation for
-    /// the same URL overwrites a previous one-shot entry — but never a fresh
-    /// persistent one. Returns `true` when the response entered the cache
-    /// (`no-store` and `Set-Cookie`-bearing responses are refused).
-    pub fn store_prefetched(
-        &self,
-        url: &crate::url::Url,
-        cookie_header: &str,
-        response: Response,
-    ) -> bool {
-        self.cache_store(Method::Get, url, cookie_header, response, true)
-    }
-
-    /// Consumes the cached response for a GET of `url` under the mediation plan
-    /// `cookie_header` (see [`cache_lookup`](SharedNetwork::cache_lookup)),
-    /// returning an owned clone of the entry. One-shot entries are consumed;
-    /// persistent entries survive for the next hit.
-    #[must_use]
-    pub fn take_prefetched(&self, url: &crate::url::Url, cookie_header: &str) -> Option<Response> {
-        self.cache_lookup(Method::Get, url, cookie_header, CacheLayers::BOTH)
-            .map(|hit| Arc::try_unwrap(hit.response).unwrap_or_else(|arc| (*arc).clone()))
-    }
-
-    /// Logs a cache hit under the consuming request's reserved `sequence`,
-    /// exactly as the live dispatch it replaced would have been logged. The
-    /// hit is only legal when the mediation plan matched
-    /// ([`cache_lookup`](SharedNetwork::cache_lookup)), so method, URL and
-    /// cookie names here are byte-identical to the request a cache-free run
-    /// would have put on the wire — which is what keeps the log equivalent.
-    pub fn record_cache_hit(&self, sequence: u64, request: &Request, status: u16) {
-        self.record(
-            sequence,
-            LoggedRequest {
-                method: request.method,
-                url: request.url.clone(),
-                cookie_names: request.cookie_names(),
-                status,
-            },
-        );
-    }
-
     /// One-shot (speculative) cache entries consumed by a request whose
     /// mediation plan still matched.
     #[must_use]
-    pub fn prefetch_hits(&self) -> u64 {
+    pub fn cache_one_shot_hits(&self) -> u64 {
         self.cache.one_shot_hits()
     }
 
     /// Cache entries discarded because the consuming request's mediation plan
-    /// no longer matched the one they were stored under.
+    /// no longer matched the one they were stored under (both layers).
     #[must_use]
-    pub fn prefetch_stale_discards(&self) -> u64 {
+    pub fn cache_stale_discards(&self) -> u64 {
         self.cache.stale_discards()
     }
 
     /// Parked speculative (one-shot) responses currently cached.
     #[must_use]
-    pub fn prefetched_entries(&self) -> usize {
+    pub fn cache_one_shot_entries(&self) -> usize {
         self.cache.one_shot_len()
     }
 
     /// Persistent cache entries served (one-shot hits count separately under
-    /// [`prefetch_hits`](SharedNetwork::prefetch_hits)).
+    /// [`cache_one_shot_hits`](SharedNetwork::cache_one_shot_hits)).
     #[must_use]
     pub fn cache_hits(&self) -> u64 {
         self.cache.hits()
@@ -582,22 +440,25 @@ impl SharedNetwork {
         self.cache.coalesced()
     }
 
-    /// Records `n` duplicate plan slots coalesced onto one dispatch.
-    pub fn note_cache_coalesced(&self, n: u64) {
-        self.cache.note_coalesced(n);
-    }
-
     /// Total live cache entries, both layers.
     #[must_use]
     pub fn cache_entries(&self) -> usize {
         self.cache.len()
     }
 
-    /// Appends a log entry to the stripe its sequence selects, evicting the
+    /// Logs `request` (answered with `status`) under `sequence`: a wire
+    /// dispatch and a cache hit standing in for one write the same entry.
+    /// The entry lands in the stripe its sequence selects, evicting the
     /// oldest (lowest-sequence) entries in an amortized batch when the stripe is
     /// full — one `select_nth` scan pays for ~capacity/8 subsequent appends, the
     /// same scheme as the shared jar's eviction.
-    fn record(&self, sequence: u64, entry: LoggedRequest) {
+    pub(crate) fn record(&self, sequence: u64, request: &Request, status: u16) {
+        let entry = LoggedRequest {
+            method: request.method,
+            url: request.url.clone(),
+            cookie_names: request.cookie_names(),
+            status,
+        };
         let stripe = &self.stripes[(sequence as usize) & (self.stripes.len() - 1)];
         let mut entries = stripe.lock().expect("network log stripe lock");
         if self.stripe_capacity > 0 && entries.len() >= self.stripe_capacity {
@@ -713,8 +574,8 @@ impl fmt::Debug for SharedNetwork {
             .field("logged_requests", &self.log_len())
             .field("dropped_log_entries", &self.dropped_log_entries())
             .field("fetch_pool_workers", &self.fetch_pool_workers())
-            .field("prefetched_entries", &self.prefetched_entries())
-            .field("prefetch_hits", &self.prefetch_hits())
+            .field("cache_one_shot_entries", &self.cache_one_shot_entries())
+            .field("cache_one_shot_hits", &self.cache_one_shot_hits())
             .finish()
     }
 }
@@ -722,12 +583,39 @@ impl fmt::Debug for SharedNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dispatch::{Dispatch, Sequence, Served};
     use crate::message::StatusCode;
+    use crate::response_cache::CacheLayers;
     use crate::url::Url;
     use std::sync::Arc;
 
     fn echo_server(req: &Request) -> Response {
         Response::ok_text(format!("{} {}", req.method, req.url.path()))
+    }
+
+    /// A bare logged `GET` under a fresh sequence.
+    fn get(net: &SharedNetwork, url: &str) -> Result<Arc<Response>, NetError> {
+        net.send(Request::get(url).unwrap(), Dispatch::default())
+            .result
+    }
+
+    /// A `GET` of `url` carrying the mediated `Cookie` header `cookie`.
+    fn mediated(url: &str, cookie: &str) -> Request {
+        let request = Request::get(url).unwrap();
+        if cookie.is_empty() {
+            request
+        } else {
+            request.with_header("Cookie", cookie)
+        }
+    }
+
+    /// Speculation: unlogged, parking its response as a one-shot entry.
+    fn speculate() -> Dispatch {
+        Dispatch {
+            sequence: Sequence::Unlogged,
+            cache: CacheLayers::ONE_SHOT,
+            ..Dispatch::default()
+        }
     }
 
     #[test]
@@ -737,22 +625,16 @@ mod tests {
         net.register("http://b.example", |_req: &Request| {
             Response::error(StatusCode::FORBIDDEN, "nope")
         });
-        let ra = net
-            .dispatch(Request::get("http://a.example/x").unwrap())
-            .unwrap();
+        let ra = get(&net, "http://a.example/x").unwrap();
         assert_eq!(ra.body, "GET /x");
-        let rb = net
-            .dispatch(Request::get("http://b.example/y").unwrap())
-            .unwrap();
+        let rb = get(&net, "http://b.example/y").unwrap();
         assert_eq!(rb.status, StatusCode::FORBIDDEN);
         let log = net.log();
         assert_eq!(log.len(), 2);
         assert_eq!(log[0].url.host(), "a.example");
         assert_eq!(log[1].url.host(), "b.example");
         assert_eq!(net.count_requests_to("a.example"), 1);
-        assert!(net
-            .dispatch(Request::get("http://nowhere.example/").unwrap())
-            .is_err());
+        assert!(get(&net, "http://nowhere.example/").is_err());
         assert_eq!(net.log_len(), 2, "unreachable dispatches are not logged");
     }
 
@@ -764,17 +646,17 @@ mod tests {
         // reads in plan order.
         let base = net.reserve_sequences(4);
         for i in (0..4u64).rev() {
-            net.dispatch_sequenced(
-                base + i,
-                Request::get(&format!("http://a.example/plan{i}")).unwrap(),
-            )
-            .unwrap();
+            let reserved = Dispatch {
+                sequence: Sequence::Reserved(base + i),
+                ..Dispatch::default()
+            };
+            let request = Request::get(&format!("http://a.example/plan{i}")).unwrap();
+            net.send(request, reserved).result.unwrap();
         }
         let paths: Vec<String> = net.log().iter().map(|e| e.url.path().to_string()).collect();
         assert_eq!(paths, vec!["/plan0", "/plan1", "/plan2", "/plan3"]);
         // A later un-reserved dispatch sorts after the block.
-        net.dispatch(Request::get("http://a.example/after").unwrap())
-            .unwrap();
+        get(&net, "http://a.example/after").unwrap();
         assert_eq!(net.log().last().unwrap().url.path(), "/after");
     }
 
@@ -789,8 +671,7 @@ mod tests {
                 let net = Arc::clone(&net);
                 scope.spawn(move || {
                     for i in 0..25 {
-                        net.dispatch(Request::get(&format!("http://h{t}.example/{i}")).unwrap())
-                            .unwrap();
+                        get(&net, &format!("http://h{t}.example/{i}")).unwrap();
                     }
                 });
             }
@@ -819,8 +700,7 @@ mod tests {
         assert_eq!(net.log_capacity(), 8);
         net.register("http://a.example", echo_server);
         for i in 0..12 {
-            net.dispatch(Request::get(&format!("http://a.example/{i}")).unwrap())
-                .unwrap();
+            get(&net, &format!("http://a.example/{i}")).unwrap();
         }
         assert_eq!(net.log_len(), 8);
         assert_eq!(net.dropped_log_entries(), 4);
@@ -841,8 +721,7 @@ mod tests {
             Duration::from_millis(5)
         );
         let start = std::time::Instant::now();
-        net.dispatch(Request::get("http://slow.example/").unwrap())
-            .unwrap();
+        get(&net, "http://slow.example/").unwrap();
         assert!(start.elapsed() >= Duration::from_millis(5));
         // Replacing the handler keeps the configured latency.
         net.register("http://slow.example", echo_server);
@@ -869,31 +748,34 @@ mod tests {
     fn prefetch_cache_hits_only_on_a_matching_mediation_plan() {
         let net = SharedNetwork::new();
         net.register("http://a.example", echo_server);
-        let url = Url::parse("http://a.example/page").unwrap();
-        let response = net
-            .dispatch_unlogged(Request::get("http://a.example/page").unwrap())
-            .unwrap();
+        let page = |cookie: &str| mediated("http://a.example/page", cookie);
+        let consume = Dispatch {
+            cache: CacheLayers::ONE_SHOT,
+            ..Dispatch::default()
+        };
+        assert!(net.send(page("sid=abc"), speculate()).stored);
         assert_eq!(net.log_len(), 0, "speculative dispatches are unlogged");
-        net.store_prefetched(&url, "sid=abc", response);
-        assert_eq!(net.prefetched_entries(), 1);
+        assert_eq!(net.cache_one_shot_entries(), 1);
 
         // A different plan (the jar changed since the speculation) discards
         // the entry instead of serving it.
-        assert!(net.take_prefetched(&url, "sid=zzz").is_none());
-        assert_eq!(net.prefetch_stale_discards(), 1);
-        assert_eq!(net.prefetched_entries(), 0, "stale entries are discarded");
+        assert_eq!(net.send(page("sid=zzz"), consume).served, Served::Wire);
+        assert_eq!(net.cache_stale_discards(), 1);
+        assert_eq!(
+            net.cache_one_shot_entries(),
+            0,
+            "stale entries are discarded"
+        );
 
         // A matching plan consumes the entry exactly once.
-        let response = net
-            .dispatch_unlogged(Request::get("http://a.example/page").unwrap())
-            .unwrap();
-        net.store_prefetched(&url, "sid=abc", response);
-        let hit = net.take_prefetched(&url, "sid=abc").unwrap();
-        assert_eq!(hit.body, "GET /page");
-        assert_eq!(net.prefetch_hits(), 1);
-        assert!(net.take_prefetched(&url, "sid=abc").is_none());
+        net.send(page("sid=abc"), speculate());
+        let hit = net.send(page("sid=abc"), consume);
+        assert_eq!(hit.served, Served::OneShot);
+        assert_eq!(hit.result.unwrap().body, "GET /page");
+        assert_eq!(net.cache_one_shot_hits(), 1);
+        assert_eq!(net.send(page("sid=abc"), consume).served, Served::Wire);
         assert_eq!(
-            net.prefetch_stale_discards(),
+            net.cache_stale_discards(),
             1,
             "a plain miss is not a stale discard"
         );
@@ -904,40 +786,52 @@ mod tests {
         use crate::response_cache::RESPONSE_CACHE_CAPACITY;
         let net = SharedNetwork::new();
         net.register("http://a.example", echo_server);
-        let ok = Response::ok_text("x");
         let stored = 4 * RESPONSE_CACHE_CAPACITY;
         for i in 0..stored {
-            let url = Url::parse(&format!("http://a.example/{i}")).unwrap();
-            net.store_prefetched(&url, "", ok.clone());
+            net.send(mediated(&format!("http://a.example/{i}"), ""), speculate());
         }
         assert!(
-            net.prefetched_entries() <= RESPONSE_CACHE_CAPACITY,
+            net.cache_one_shot_entries() <= RESPONSE_CACHE_CAPACITY,
             "the cache stays within its capacity bound"
         );
         assert_eq!(
-            net.cache_evictions() + net.prefetched_entries() as u64,
+            net.cache_evictions() + net.cache_one_shot_entries() as u64,
             stored as u64,
             "every overflow store evicted exactly one entry"
         );
         // Re-storing a URL overwrites in place rather than duplicating or evicting.
-        let url = Url::parse(&format!("http://a.example/{}", stored - 1)).unwrap();
+        let url = format!("http://a.example/{}", stored - 1);
         let evictions_before = net.cache_evictions();
-        net.store_prefetched(&url, "a=1", ok.clone());
-        net.store_prefetched(&url, "a=2", ok);
+        net.send(mediated(&url, "a=1"), speculate());
+        net.send(mediated(&url, "a=2"), speculate());
         assert_eq!(net.cache_evictions(), evictions_before);
-        assert!(net.take_prefetched(&url, "a=2").is_some());
-        assert!(net.take_prefetched(&url, "a=2").is_none());
+        let consume = Dispatch {
+            cache: CacheLayers::ONE_SHOT,
+            ..Dispatch::default()
+        };
+        assert_eq!(
+            net.send(mediated(&url, "a=2"), consume).served,
+            Served::OneShot
+        );
+        assert_eq!(
+            net.send(mediated(&url, "a=2"), consume).served,
+            Served::Wire
+        );
     }
 
     #[test]
     fn prefetch_hits_log_under_their_reserved_sequence() {
         let net = SharedNetwork::new();
         net.register("http://a.example", echo_server);
+        net.send(mediated("http://a.example/hit", "sid=abc"), speculate());
         let sequence = net.reserve_sequences(1);
-        let request = Request::get("http://a.example/hit")
-            .unwrap()
-            .with_header("Cookie", "sid=abc");
-        net.record_cache_hit(sequence, &request, 200);
+        let consume = Dispatch {
+            sequence: Sequence::Reserved(sequence),
+            cache: CacheLayers::ONE_SHOT,
+            ..Dispatch::default()
+        };
+        let hit = net.send(mediated("http://a.example/hit", "sid=abc"), consume);
+        assert_eq!(hit.served, Served::OneShot);
         let log = net.log();
         assert_eq!(log.len(), 1);
         assert_eq!(log[0].url.path(), "/hit");
@@ -958,17 +852,14 @@ mod tests {
                 let net = Arc::clone(&net);
                 scope.spawn(move || {
                     for _ in 0..10 {
-                        net.dispatch(Request::get("http://count.example/").unwrap())
-                            .unwrap();
+                        get(&net, "http://count.example/").unwrap();
                     }
                 });
             }
         });
         // 40 concurrent hits, each seeing a consistent counter: the final dispatch
         // observes 41.
-        let last = net
-            .dispatch(Request::get("http://count.example/").unwrap())
-            .unwrap();
+        let last = get(&net, "http://count.example/").unwrap();
         assert_eq!(last.body, "41");
     }
 
@@ -980,8 +871,7 @@ mod tests {
         let origin = Origin::parse_url("http://a.example").unwrap();
         // Establish a clean baseline estimate.
         for i in 0..5 {
-            net.dispatch(Request::get(&format!("http://a.example/warm{i}")).unwrap())
-                .unwrap();
+            get(&net, &format!("http://a.example/warm{i}")).unwrap();
         }
         let baseline = net.estimated_service_ns(&origin);
         assert!(baseline > 0, "warm dispatches seeded the EWMA");
@@ -994,7 +884,7 @@ mod tests {
             FaultPlan::new().slow_by(5_000_000).every_nth(2),
         );
         for i in 0..10 {
-            let _ = net.dispatch(Request::get(&format!("http://a.example/storm{i}")).unwrap());
+            let _ = get(&net, &format!("http://a.example/storm{i}"));
         }
         assert_eq!(
             net.estimated_service_ns(&origin),
@@ -1005,8 +895,7 @@ mod tests {
         assert_eq!(net.faults_injected(), 5);
         // Healing the origin resumes EWMA updates.
         net.clear_fault("http://a.example");
-        net.dispatch(Request::get("http://a.example/healed").unwrap())
-            .unwrap();
+        get(&net, "http://a.example/healed").unwrap();
         assert!(net.estimated_service_ns(&origin) > 0);
     }
 }

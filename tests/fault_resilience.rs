@@ -24,7 +24,8 @@ use std::time::Duration;
 use escudo::browser::{Browser, PolicyMode};
 use escudo::core::ManualClock;
 use escudo::net::{
-    BreakerPhase, FaultPlan, FetchPolicy, NetError, Priority, Request, Response, SharedNetwork,
+    BreakerPhase, Dispatch, FaultPlan, FetchPolicy, NetError, Outcome, Priority, Request, Response,
+    Sequence, SharedNetwork,
 };
 use escudo_bench::fault::{run_breaker_drill, run_retry_oracle};
 use escudo_bench::loader::register_loader_world;
@@ -62,20 +63,27 @@ fn the_breaker_walks_its_phases_on_a_manual_clock() {
     let request = || Request::get("http://api.example/ping").unwrap();
     let origin = request().url.origin();
     let policy = FetchPolicy::disabled().with_breaker(2, 500_000_000);
+    let send = || {
+        let how = Dispatch {
+            policy,
+            ..Dispatch::default()
+        };
+        fabric.send(request(), how).result
+    };
 
     // No breaker exists until a breaker-carrying policy touches the origin.
     assert_eq!(fabric.breaker_phase(&origin), None);
 
     fabric.inject_fault("http://api.example", FaultPlan::new().timeout());
-    assert!(fabric.dispatch_with_policy(request(), &policy).is_err());
+    assert!(send().is_err());
     assert_eq!(fabric.breaker_phase(&origin), Some(BreakerPhase::Closed));
-    assert!(fabric.dispatch_with_policy(request(), &policy).is_err());
+    assert!(send().is_err());
     assert_eq!(fabric.breaker_phase(&origin), Some(BreakerPhase::Open));
     assert_eq!(fabric.breaker_trips(), 1);
 
     // Open: fail fast with the remaining cooldown, without dispatching.
     let faults_before = fabric.faults_injected();
-    match fabric.dispatch_with_policy(request(), &policy) {
+    match send() {
         Err(NetError::CircuitOpen { cooldown_ns, .. }) => {
             assert_eq!(cooldown_ns, 500_000_000);
         }
@@ -87,7 +95,7 @@ fn the_breaker_walks_its_phases_on_a_manual_clock() {
     // Cooldown elapses on the manual clock; the healed probe re-closes it.
     clock.advance(Duration::from_millis(500));
     fabric.clear_fault("http://api.example");
-    assert!(fabric.dispatch_with_policy(request(), &policy).is_ok());
+    assert!(send().is_ok());
     assert_eq!(fabric.breaker_phase(&origin), Some(BreakerPhase::Closed));
     assert_eq!(fabric.breaker_probes(), 1);
     assert_eq!(fabric.breaker_recoveries(), 1);
@@ -114,6 +122,18 @@ fn a_panic_mid_batch_is_contained_released_and_width_bounded() {
         unreachable!("faulted before the handler")
     });
     fabric.inject_fault("http://boom.example", FaultPlan::new().panicking());
+    // A known-slow healthy origin: every plan below clears the fan-out
+    // cutover and runs on the worker pool.
+    fabric.set_latency("http://ok.example", Duration::from_micros(100));
+    let send_lane = |base: u64, requests: Vec<Request>, policy: FetchPolicy| -> Vec<Outcome> {
+        let how = Dispatch {
+            sequence: Sequence::Reserved(base),
+            policy,
+            ..Dispatch::default()
+        };
+        let plan = requests.into_iter().map(|r| (r, Priority::Bulk)).collect();
+        fabric.send_plan(plan, how, 2).join()
+    };
 
     let policy = FetchPolicy::disabled()
         .with_max_retries(1)
@@ -125,9 +145,17 @@ fn a_panic_mid_batch_is_contained_released_and_width_bounded() {
         })
         .collect();
     let base = fabric.reserve_sequences(requests.len() as u64);
-    let results = fabric.dispatch_batch_with_policy(base, requests, 2, Priority::Bulk, &policy);
+    let results = send_lane(base, requests, policy);
 
-    for (i, (outcome, retries)) in results.iter().enumerate() {
+    for (
+        i,
+        Outcome {
+            result: outcome,
+            retries,
+            ..
+        },
+    ) in results.iter().enumerate()
+    {
         if i % 3 == 1 {
             assert!(
                 matches!(outcome, Err(NetError::FetchPanicked { .. })),
@@ -155,8 +183,8 @@ fn a_panic_mid_batch_is_contained_released_and_width_bounded() {
         .map(|i| Request::get(&format!("http://ok.example/again{i}")).unwrap())
         .collect();
     let base = fabric.reserve_sequences(follow_up.len() as u64);
-    let results = fabric.dispatch_batch(base, follow_up, 2, Priority::Bulk);
-    assert!(results.iter().all(Result::is_ok));
+    let results = send_lane(base, follow_up, FetchPolicy::disabled());
+    assert!(results.iter().all(|slot| slot.result.is_ok()));
     assert!(high_water.load(Ordering::SeqCst) <= 2);
 }
 

@@ -6,9 +6,8 @@
 //! * attached cookie names are **byte-identical** to the sequential oracle path
 //!   (workers = 1), because mediation is fixed in phase 1 before any fetch,
 //! * 8 sessions sharing one fabric + jar + engine leak nothing across sessions,
-//! * a navigation's critical batch **preempts** a draining bulk batch at a
-//!   request boundary, and a continuous navigation storm never **starves** the
-//!   bulk lane (the anti-starvation credit), and
+//! * a continuous navigation storm never **starves** the bulk lane (the
+//!   anti-starvation credit), and
 //! * speculative prefetch is **oracle-equivalent**: prefetch on vs off produces
 //!   byte-identical mediation decisions, attachments and request logs.
 //!
@@ -20,7 +19,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use escudo::browser::Browser;
 use escudo::core::{engine_for_mode, EscudoEngine, PolicyEngine, PolicyMode};
@@ -169,61 +168,6 @@ fn eight_sessions_sharing_one_fabric_stay_isolated() {
         // in round 1 (round 1's images attach it too — same-page store).
         assert!(own_attached >= IMAGES, "session {t} never attached {own}");
     }
-}
-
-#[test]
-fn a_navigation_preempts_a_draining_bulk_batch() {
-    // One fabric, two sessions: a bulk session loops slow image-heavy page
-    // loads at 2 workers (so one pool worker drains most of each batch and has
-    // request boundaries to yield at), while the navigating session loads a
-    // page whose three critical subresources ride the navigation lane. A bulk
-    // worker must park its ticket for the queued navigation work — witnessed
-    // by the fabric's preemption counter.
-    let fabric = Arc::new(SharedNetwork::new());
-    register_nav_world(&fabric, "nav.example");
-    register_loader_world(&fabric, "bulk.example", "sid", IMAGES, ORIGINS, |_| {
-        Duration::from_micros(500)
-    });
-    let engine = Arc::new(EscudoEngine::new());
-    let jar = Arc::new(SharedCookieJar::new());
-    let stop = AtomicBool::new(false);
-
-    thread::scope(|scope| {
-        let storm_fabric = Arc::clone(&fabric);
-        let storm_engine: Arc<dyn PolicyEngine> = Arc::clone(&engine) as _;
-        let storm_jar = Arc::clone(&jar);
-        let stop = &stop;
-        scope.spawn(move || {
-            let mut browser = Browser::with_network(storm_engine, storm_jar, storm_fabric);
-            browser.set_subresource_workers(2);
-            while !stop.load(Ordering::Acquire) {
-                browser.navigate("http://bulk.example/index.php").unwrap();
-            }
-        });
-
-        let mut browser = Browser::with_network(
-            Arc::clone(&engine) as _,
-            Arc::clone(&jar),
-            Arc::clone(&fabric),
-        );
-        browser.set_subresource_workers(8);
-        // Navigate until a bulk drain demonstrably yielded; the counter is
-        // monotonic, so one observation settles it.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while fabric.fetch_pool_preemptions() == 0 && Instant::now() < deadline {
-            let page = browser.navigate(NAV_PAGE_URL).unwrap();
-            assert!(browser
-                .page(page)
-                .subresources
-                .iter()
-                .all(|s| s.error.is_none()));
-        }
-        stop.store(true, Ordering::Release);
-        assert!(
-            fabric.fetch_pool_preemptions() >= 1,
-            "no bulk worker ever yielded to queued navigation work"
-        );
-    });
 }
 
 #[test]

@@ -12,7 +12,8 @@
 //!   [`ManualClock`], and
 //! * duplicate URLs within one subresource plan **single-flight**: one
 //!   dispatch serves every duplicate slot, each still logged under its own
-//!   sequence number,
+//!   sequence number — across lanes too, a `<script>` and an `<img>` of one
+//!   URL sharing one dispatch,
 //! * responses that carry `Set-Cookie` are **never** admitted into the shared
 //!   cache — per-recipient session state cannot leak across sessions whose
 //!   mediated `Cookie` headers happen to match,
@@ -33,6 +34,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use escudo::browser::page::SubresourceKind;
 use escudo::browser::Browser;
 use escudo::core::config::CookiePolicy;
 use escudo::core::{engine_for_mode, Acl, PolicyMode, Ring};
@@ -134,7 +136,7 @@ fn sessions_with_different_cookie_headers_never_share_entries() {
     assert_eq!(bob.page(page).text_of("who").unwrap(), "sid=bob");
     assert_eq!(bob.cache_hits(), 0, "Bob must not hit Alice's entry");
     assert_eq!(
-        fabric.prefetch_stale_discards(),
+        fabric.cache_stale_discards(),
         1,
         "Alice's entry is discarded fail-closed, not served"
     );
@@ -147,7 +149,7 @@ fn sessions_with_different_cookie_headers_never_share_entries() {
     let page = alice.navigate("http://portal.example/page.php").unwrap();
     assert_eq!(alice.page(page).text_of("who").unwrap(), "sid=alice");
     assert_eq!(alice.cache_hits(), 0);
-    assert_eq!(fabric.prefetch_stale_discards(), 2);
+    assert_eq!(fabric.cache_stale_discards(), 2);
 }
 
 #[test]
@@ -206,6 +208,71 @@ fn duplicate_plan_slots_dispatch_once_and_log_each() {
         "four duplicate slots coalesced per load"
     );
     assert_eq!(report.logged, 2 * 6, "every slot logs its own sequence");
+}
+
+#[test]
+fn a_script_and_an_image_of_one_url_single_flight_across_lanes() {
+    // The script rides the navigation lane and the image the bulk lane, but
+    // both carry the same URL and the same mediated `Cookie` header: one
+    // dispatch serves both, and each slot still logs under its own sequence.
+    let fabric = Arc::new(SharedNetwork::new());
+    let policy = CookiePolicy::new("sid", Ring::new(1)).with_acl(Acl::uniform(Ring::new(1)));
+    fabric.register("http://mix.example", move |req: &Request| {
+        if req.url.path() == "/login.php" {
+            return Response::ok_html(
+                "<html><body ring=\"1\" r=\"1\" w=\"1\" x=\"1\">in</body></html>",
+            )
+            .with_cookie(SetCookie {
+                domain: Some("mix.example".into()),
+                ..SetCookie::new("sid", "s1")
+            })
+            .with_cookie_policy(&policy);
+        }
+        Response::ok_html(
+            "<html><body ring=\"1\" r=\"1\" w=\"1\" x=\"1\">\
+             <script src=\"http://asset.mix.example/x.js\"></script>\
+             <img src=\"http://asset.mix.example/x.js\"></body></html>",
+        )
+        .with_cookie_policy(&policy)
+    });
+    let dispatches = Arc::new(AtomicU64::new(0));
+    {
+        let dispatches = Arc::clone(&dispatches);
+        fabric.register("http://asset.mix.example", move |_req: &Request| {
+            dispatches.fetch_add(1, Ordering::Relaxed);
+            Response::ok_text("asset")
+        });
+    }
+
+    let mut browser = cache_browser(&fabric, true);
+    browser.navigate("http://mix.example/login.php").unwrap();
+    fabric.clear_log();
+    let page = browser.navigate("http://mix.example/index.php").unwrap();
+
+    let subs = &browser.page(page).subresources;
+    assert_eq!(subs.len(), 2);
+    assert_eq!(subs[0].kind, SubresourceKind::Critical);
+    assert_eq!(subs[1].kind, SubresourceKind::Image);
+    for sub in subs {
+        assert_eq!(sub.status, Some(200));
+        assert_eq!(sub.attached_cookies, vec!["sid".to_string()]);
+    }
+    assert_eq!(
+        dispatches.load(Ordering::Relaxed),
+        1,
+        "one origin fetch for both lanes"
+    );
+    assert_eq!(fabric.cache_coalesced(), 1);
+
+    // The page, then one entry per slot in plan order, each with the cookie.
+    let log = fabric.log();
+    assert_eq!(log.len(), 3);
+    assert_eq!(log[0].url.path(), "/index.php");
+    for entry in &log[1..] {
+        assert_eq!(entry.url.to_string(), "http://asset.mix.example/x.js");
+        assert_eq!(entry.cookie_names, vec!["sid".to_string()]);
+        assert_eq!(entry.status, 200);
+    }
 }
 
 #[test]
@@ -312,7 +379,7 @@ fn a_cache_only_session_never_consumes_a_one_shot_entry() {
     let mut speculator = cache_browser(&fabric, false);
     speculator.set_prefetch_enabled(true);
     assert!(speculator.prefetch("http://feed.example/next.php"));
-    assert_eq!(fabric.prefetched_entries(), 1);
+    assert_eq!(fabric.cache_one_shot_entries(), 1);
 
     // A cache-only session looks up with the persistent layer alone: the
     // one-shot entry is left in place and the navigation dispatches live.
@@ -320,9 +387,9 @@ fn a_cache_only_session_never_consumes_a_one_shot_entry() {
     cache_only.navigate("http://feed.example/next.php").unwrap();
     assert_eq!(cache_only.cache_hits(), 0);
     assert_eq!(cache_only.prefetch_hits(), 0);
-    assert_eq!(fabric.prefetch_hits(), 0);
+    assert_eq!(fabric.cache_one_shot_hits(), 0);
     assert_eq!(
-        fabric.prefetched_entries(),
+        fabric.cache_one_shot_entries(),
         1,
         "the speculative entry must survive a cache-only lookup"
     );
@@ -331,7 +398,7 @@ fn a_cache_only_session_never_consumes_a_one_shot_entry() {
     // The speculating session's own navigation consumes it as planned.
     speculator.navigate("http://feed.example/next.php").unwrap();
     assert_eq!(speculator.prefetch_hits(), 1);
-    assert_eq!(fabric.prefetched_entries(), 0);
+    assert_eq!(fabric.cache_one_shot_entries(), 0);
     assert_eq!(dispatches.load(Ordering::Relaxed), 2);
 }
 
