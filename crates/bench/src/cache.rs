@@ -35,7 +35,7 @@ use escudo_apps::scenario::{install_chaos_hook, registry, MatrixReport};
 use escudo_browser::Browser;
 use escudo_core::config::CookiePolicy;
 use escudo_core::{engine_for_mode, Acl, ManualClock, PolicyMode, Ring};
-use escudo_net::{Request, Response, SetCookie, SharedCookieJar, SharedNetwork};
+use escudo_net::{FabricCounters, Request, Response, SetCookie, SharedCookieJar, SharedNetwork};
 
 /// Origin latency the speedup gate runs at: high enough that a cache hit's
 /// saving dwarfs scheduling noise.
@@ -168,7 +168,7 @@ pub fn run_cache_speedup(latency: Duration, passes: usize) -> CacheSpeedupReport
         (
             total_ns as f64 / passes.max(1) as f64,
             browser.cache_hits(),
-            fabric.cache_stored(),
+            FabricCounters::gather(&fabric).cache_stored,
         )
     };
 
@@ -252,14 +252,19 @@ pub fn run_cache_matrix_oracle() -> CacheMatrixOracleReport {
         MatrixReport::run(&registry())
     };
     let plain = MatrixReport::run(&registry());
-    let fabrics = fabrics.lock().expect("cache fabric sink lock");
+    let counters: Vec<FabricCounters> = fabrics
+        .lock()
+        .expect("cache fabric sink lock")
+        .iter()
+        .map(|fabric| FabricCounters::gather(fabric))
+        .collect();
     CacheMatrixOracleReport {
         cached,
         plain,
-        sessions: fabrics.len(),
-        cache_hits: fabrics.iter().map(|f| f.cache_hits()).sum(),
-        cache_stored: fabrics.iter().map(|f| f.cache_stored()).sum(),
-        cache_coalesced: fabrics.iter().map(|f| f.cache_coalesced()).sum(),
+        sessions: counters.len(),
+        cache_hits: counters.iter().map(|c| c.cache_hits).sum(),
+        cache_stored: counters.iter().map(|c| c.cache_stored).sum(),
+        cache_coalesced: counters.iter().map(|c| c.cache_coalesced).sum(),
     }
 }
 
@@ -359,7 +364,7 @@ pub fn run_cache_isolation(threads: usize, rounds: usize) -> CacheIsolationRepor
         rounds,
         violations,
         cache_hits,
-        stale_discards: fabric.cache_stale_discards(),
+        stale_discards: FabricCounters::gather(&fabric).cache_stale_discards,
     }
 }
 
@@ -410,11 +415,12 @@ pub fn run_cache_ttl_walk(cycles: usize) -> CacheTtlReport {
             .expect("ttl fresh-hit load");
         clock.advance(Duration::from_secs(2));
     }
+    let counters = FabricCounters::gather(&fabric);
     CacheTtlReport {
         cycles,
-        hits: fabric.cache_hits(),
-        expired: fabric.cache_expired(),
-        stored: fabric.cache_stored(),
+        hits: counters.cache_hits,
+        expired: counters.cache_expired,
+        stored: counters.cache_stored,
     }
 }
 
@@ -479,7 +485,7 @@ pub fn run_cache_single_flight(duplicates: usize, loads: usize) -> CacheSingleFl
         duplicates,
         loads,
         dispatches: dispatches.load(Ordering::Relaxed),
-        coalesced: fabric.cache_coalesced(),
+        coalesced: FabricCounters::gather(&fabric).cache_coalesced,
         logged: fabric.log().len(),
     }
 }

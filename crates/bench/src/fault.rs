@@ -29,7 +29,8 @@ use escudo_apps::{AdServer, NewsSite};
 use escudo_browser::{Browser, PolicyMode};
 use escudo_core::ManualClock;
 use escudo_net::{
-    BreakerPhase, Dispatch, FaultPlan, FetchPolicy, LoggedRequest, Request, Response, SharedNetwork,
+    BreakerPhase, Dispatch, FabricCounters, FaultPlan, FetchPolicy, LoggedRequest, Request,
+    Response, SharedNetwork,
 };
 
 /// Every origin a registry scenario registers a server on. Fault plans are
@@ -156,17 +157,22 @@ pub fn run_matrix_under_chaos(schedule: &ChaosSchedule) -> ChaosMatrixReport {
         sink.lock().expect("chaos fabric sink lock").push(fabric);
     }));
     let report = MatrixReport::run(&registry());
-    let fabrics = fabrics.lock().expect("chaos fabric sink lock");
+    let counters: Vec<FabricCounters> = fabrics
+        .lock()
+        .expect("chaos fabric sink lock")
+        .iter()
+        .map(|fabric| FabricCounters::gather(fabric))
+        .collect();
     ChaosMatrixReport {
         schedule: schedule.name,
         report,
-        sessions: fabrics.len(),
-        faults_injected: fabrics.iter().map(|f| f.faults_injected()).sum(),
-        fault_slowdowns: fabrics.iter().map(|f| f.fault_slowdowns()).sum(),
-        retry_attempts: fabrics.iter().map(|f| f.retry_attempts()).sum(),
-        retry_successes: fabrics.iter().map(|f| f.retry_successes()).sum(),
-        retry_deadline_exhausted: fabrics.iter().map(|f| f.retry_deadline_exhausted()).sum(),
-        breaker_fast_fails: fabrics.iter().map(|f| f.breaker_fast_fails()).sum(),
+        sessions: counters.len(),
+        faults_injected: counters.iter().map(|c| c.fault_injected).sum(),
+        fault_slowdowns: counters.iter().map(|c| c.fault_slowdowns).sum(),
+        retry_attempts: counters.iter().map(|c| c.retry_attempts).sum(),
+        retry_successes: counters.iter().map(|c| c.retry_successes).sum(),
+        retry_deadline_exhausted: counters.iter().map(|c| c.retry_deadline_exhausted).sum(),
+        breaker_fast_fails: counters.iter().map(|c| c.breaker_fast_fails).sum(),
     }
 }
 
@@ -221,11 +227,11 @@ fn oracle_run(mode: PolicyMode, chaos: bool) -> OracleRun {
     }
     for i in 0..AD_SLOTS {
         browser
-            .network_mut()
+            .fabric()
             .register(&NewsSite::ad_origin(i), AdServer::new());
     }
     browser
-        .network_mut()
+        .fabric()
         .register("http://news.example", NewsSite::new(AD_SLOTS));
     browser
         .navigate("http://news.example/login?user=victim")
@@ -234,6 +240,7 @@ fn oracle_run(mode: PolicyMode, chaos: bool) -> OracleRun {
         .navigate("http://news.example/")
         .expect("front page survives the chaos schedule");
     let fabric = browser.fabric();
+    let counters = FabricCounters::gather(fabric);
     OracleRun {
         log: fabric.log(),
         attachments: browser
@@ -244,8 +251,8 @@ fn oracle_run(mode: PolicyMode, chaos: bool) -> OracleRun {
             .collect(),
         checks: browser.erm().checks(),
         denials: browser.erm().denials(),
-        retries: fabric.retry_attempts(),
-        faults: fabric.faults_injected(),
+        retries: counters.retry_attempts,
+        faults: counters.fault_injected,
     }
 }
 
@@ -379,17 +386,18 @@ pub fn run_breaker_drill() -> BreakerDrillReport {
         bounded,
     );
 
+    let counters = FabricCounters::gather(&fabric);
     BreakerDrillReport {
         opened,
         reclosed,
-        trips: fabric.breaker_trips(),
-        fast_fails: fabric.breaker_fast_fails(),
-        probes: fabric.breaker_probes(),
-        recoveries: fabric.breaker_recoveries(),
-        retry_attempts: fabric.retry_attempts(),
-        retry_successes: fabric.retry_successes(),
-        deadline_exhausted: fabric.retry_deadline_exhausted(),
-        faults_injected: fabric.faults_injected(),
+        trips: counters.breaker_trips,
+        fast_fails: counters.breaker_fast_fails,
+        probes: counters.breaker_probes,
+        recoveries: counters.breaker_recoveries,
+        retry_attempts: counters.retry_attempts,
+        retry_successes: counters.retry_successes,
+        deadline_exhausted: counters.retry_deadline_exhausted,
+        faults_injected: counters.fault_injected,
     }
 }
 

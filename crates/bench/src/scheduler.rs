@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 use escudo_browser::Browser;
 use escudo_core::config::CookiePolicy;
 use escudo_core::{engine_for_mode, Acl, PolicyMode, Ring};
-use escudo_net::{Request, Response, SetCookie, SharedCookieJar, SharedNetwork};
+use escudo_net::{FabricCounters, Request, Response, SetCookie, SharedCookieJar, SharedNetwork};
 
 use crate::loader::register_loader_world;
 
@@ -490,7 +490,7 @@ pub fn run_prefetch_sessions(threads: usize, rounds: usize) -> PrefetchIsolation
         sessions: threads,
         requests: log.len(),
         prefetch_hits,
-        stale_discards: fabric.cache_stale_discards(),
+        stale_discards: FabricCounters::gather(&fabric).cache_stale_discards,
         ..PrefetchIsolationReport::default()
     };
     for t in 0..threads {

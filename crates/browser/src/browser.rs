@@ -12,8 +12,8 @@ use escudo_core::{
 };
 use escudo_dom::EventType;
 use escudo_net::{
-    CacheLayers, Dispatch, FetchPolicy, Method, Network, PlanHandle, Priority, Request, Response,
-    Sequence, Served, SharedCookieJar, SharedNetwork, Url,
+    CacheLayers, Dispatch, FetchPolicy, Method, PlanHandle, Priority, Request, Response, Sequence,
+    Served, SharedCookieJar, SharedNetwork, Url,
 };
 use escudo_script::Interpreter;
 
@@ -51,7 +51,7 @@ pub const PREFETCH_MAX_CANDIDATES: usize = 8;
 /// sessions share one host-sharded store (the server-side multi-session deployment),
 /// exactly as [`Browser::with_engine`] shares one decision engine.
 pub struct Browser {
-    network: Network,
+    fabric: Arc<SharedNetwork>,
     jar: Arc<SharedCookieJar>,
     erm: Erm,
     history: Vec<Url>,
@@ -153,39 +153,19 @@ impl Browser {
     /// Tenant-bound counterpart of [`Browser::with_network`]: the session binds
     /// to `tenant` for policy and admission while sharing the given cookie jar
     /// and network fabric with other sessions (of this tenant or others).
-    ///
-    /// When the tenant's [`TenantConfig`](escudo_core::tenant::TenantConfig)
-    /// declares a fetch fault budget, the session's [`FetchPolicy`] is
-    /// assembled from it here — resilience posture is tenant policy, not
-    /// per-session code. [`Browser::set_fetch_policy`] still overrides.
     #[must_use]
     pub fn with_tenant_network(
         tenant: Arc<Tenant>,
         jar: Arc<SharedCookieJar>,
         fabric: Arc<SharedNetwork>,
     ) -> Self {
-        let config = *tenant.config();
-        let mut browser = Browser::from_erm(Erm::with_tenant(tenant), jar, fabric);
-        if config.has_fetch_budget() {
-            let mut policy = FetchPolicy::disabled()
-                .with_max_retries(config.fetch_max_retries)
-                .with_backoff_base_ns(config.fetch_backoff_base_ns)
-                .with_deadline_ns(config.fetch_deadline_ns);
-            if config.fetch_breaker_threshold > 0 {
-                policy = policy.with_breaker(
-                    config.fetch_breaker_threshold,
-                    config.fetch_breaker_cooldown_ns,
-                );
-            }
-            browser.fetch_policy = policy;
-        }
-        browser
+        Browser::from_erm(Erm::with_tenant(tenant), jar, fabric)
     }
 
     fn from_erm(erm: Erm, jar: Arc<SharedCookieJar>, fabric: Arc<SharedNetwork>) -> Self {
         Browser {
             erm,
-            network: Network::with_fabric(fabric),
+            fabric,
             jar,
             history: Vec::new(),
             visited: HashSet::new(),
@@ -222,22 +202,19 @@ impl Browser {
         self.erm.tenant()
     }
 
-    /// Mutable access to the in-memory network (for registering servers).
-    pub fn network_mut(&mut self) -> &mut Network {
-        &mut self.network
-    }
-
-    /// The in-memory network (for inspecting the request log).
-    #[must_use]
-    pub fn network(&self) -> &Network {
-        &self.network
-    }
-
-    /// The shared network fabric (clone the `Arc` to share servers, the request
-    /// log and simulated latencies with another session).
+    /// The network fabric this session's requests travel: register servers on
+    /// it, read its request log, or clone the `Arc` to share servers, the log
+    /// and simulated latencies with another session.
     #[must_use]
     pub fn fabric(&self) -> &Arc<SharedNetwork> {
-        self.network.fabric()
+        &self.fabric
+    }
+
+    /// The same handle as [`Browser::fabric`]. Kept only because the
+    /// navigation benchmark (`navbench`) registers its servers through it.
+    #[must_use]
+    pub fn network_mut(&self) -> &Arc<SharedNetwork> {
+        self.fabric()
     }
 
     /// Bounds the pipelined subresource loader's worker pool. `1` makes the
@@ -589,7 +566,7 @@ impl Browser {
             },
             ..Dispatch::default()
         };
-        let outcome = self.network.fabric().send(request, how);
+        let outcome = self.fabric.send(request, how);
         let response = outcome.result?;
         self.count_hit(outcome.served);
         // `Set-Cookie` is applied only when the response came off the wire: the
@@ -716,7 +693,7 @@ impl Browser {
                     &mut page.document,
                     &mut page.contexts,
                     &self.jar,
-                    &self.network,
+                    &self.fabric,
                     self.history.len(),
                     page.url.clone(),
                     principal,
@@ -809,7 +786,7 @@ impl Browser {
                 &mut page.document,
                 &mut page.contexts,
                 &self.jar,
-                &self.network,
+                &self.fabric,
                 self.history.len(),
                 page.url.clone(),
                 principal,
@@ -855,7 +832,7 @@ impl Browser {
         let Ok(url) = Url::parse(url) else {
             return false;
         };
-        if !self.network.knows(&url) {
+        if !self.fabric.knows(&url) {
             return false;
         }
         let speculation = self.submit_speculative(vec![url]);
@@ -887,7 +864,7 @@ impl Browser {
             if !hinted && !self.visited.contains(&key) {
                 continue;
             }
-            if key == current || seen.contains(&key) || !self.network.knows(&target) {
+            if key == current || seen.contains(&key) || !self.fabric.knows(&target) {
                 continue;
             }
             seen.push(key);
@@ -938,7 +915,7 @@ impl Browser {
             policy: self.fetch_policy,
             cache: CacheLayers::ONE_SHOT,
         };
-        Some(self.network.fabric().send_plan(plan, how, parallelism))
+        Some(self.fabric.send_plan(plan, how, parallelism))
     }
 
     /// Joins an in-flight speculative plan, whose responses the fabric parked
@@ -1015,7 +992,7 @@ impl Browser {
             let Ok(target) = page.url.join(&src) else {
                 continue;
             };
-            if !self.network.knows(&target) {
+            if !self.fabric.knows(&target) {
                 continue;
             }
             let tag = match kind {
@@ -1078,8 +1055,7 @@ impl Browser {
         };
         let start = Instant::now();
         let outcomes = self
-            .network
-            .fabric()
+            .fabric
             .send_plan(plan, how, self.subresource_workers)
             .join();
         page.stats.subresource_fetch_ns = start.elapsed().as_nanos();
@@ -1120,7 +1096,7 @@ impl Browser {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use escudo_net::{Response, Server};
+    use escudo_net::{FabricCounters, Response, Server};
 
     struct Static(String);
     impl Server for Static {
@@ -1130,9 +1106,9 @@ mod tests {
     }
 
     fn browser_with(mode: PolicyMode, html: &str) -> Browser {
-        let mut browser = Browser::new(mode);
+        let browser = Browser::new(mode);
         browser
-            .network_mut()
+            .fabric()
             .register("http://app.example", Static(html.to_string()));
         browser
     }
@@ -1148,6 +1124,38 @@ mod tests {
         assert_eq!(browser.history().len(), 1);
         assert!(browser.is_visited("http://app.example/index.php"));
         assert!(!browser.is_visited("http://app.example/other.php"));
+    }
+
+    #[test]
+    fn a_script_stack_bomb_fails_its_script_and_leaves_the_session_usable() {
+        let html = r#"<html><body ring=1 r=1 w=1 x=1>
+            <div ring=3 id=ad><script>function f(n) { return f(n + 1); } f(0);</script></div>
+            <p id=after>kept</p>
+            <script>document.getElementById('after').innerHTML = 'ran';</script>
+        </body></html>"#;
+        // An explicit 2 MiB stack, the default for test and worker threads.
+        std::thread::Builder::new()
+            .stack_size(2 * 1024 * 1024)
+            .spawn(move || {
+                let mut browser = browser_with(PolicyMode::Escudo, html);
+                let page = browser.navigate("http://app.example/").unwrap();
+                let outcomes = &browser.page(page).script_outcomes;
+                assert_eq!(outcomes.len(), 2);
+                let bomb = &outcomes[0];
+                assert!(!bomb.denied, "a stack bomb is not a policy denial");
+                assert_eq!(
+                    bomb.result,
+                    Err(escudo_script::ScriptError::CallDepthExceeded.to_string())
+                );
+                assert!(outcomes[1].result.is_ok(), "later scripts still run");
+                assert_eq!(browser.page(page).text_of("after").as_deref(), Some("ran"));
+                let again = browser.navigate("http://app.example/again").unwrap();
+                assert_eq!(browser.page(again).script_outcomes.len(), 2);
+                assert_eq!(browser.history().len(), 2);
+            })
+            .expect("spawn test thread")
+            .join()
+            .expect("the bomb must not take the thread down");
     }
 
     #[test]
@@ -1286,24 +1294,23 @@ mod tests {
 
         // Session A logs in; the cookie lands in the shared jar.
         let mut a = Browser::with_jar(Arc::clone(&engine), Arc::clone(&jar));
-        a.network_mut().register("http://app.example", SetThenEcho);
+        a.fabric().register("http://app.example", SetThenEcho);
         a.navigate("http://app.example/login.php").unwrap();
         assert_eq!(jar.get("app.example", "sid").unwrap().value, "shared");
 
         // Session B (own browser, own network) shares the jar: its request to the
         // same host attaches the session cookie session A established.
         let mut b = Browser::with_jar(engine, jar);
-        b.network_mut().register("http://app.example", SetThenEcho);
+        b.fabric().register("http://app.example", SetThenEcho);
         b.navigate("http://app.example/index.php").unwrap();
-        let log = b.network().log();
+        let log = b.fabric().log();
         assert_eq!(log.last().unwrap().cookie_names, vec!["sid"]);
 
         // A browser built through `with_engine` keeps a private jar.
         let mut lone = Browser::new(PolicyMode::Escudo);
-        lone.network_mut()
-            .register("http://app.example", SetThenEcho);
+        lone.fabric().register("http://app.example", SetThenEcho);
         lone.navigate("http://app.example/index.php").unwrap();
-        assert!(lone.network().log().last().unwrap().cookie_names.is_empty());
+        assert!(lone.fabric().log().last().unwrap().cookie_names.is_empty());
     }
 
     #[test]
@@ -1318,7 +1325,7 @@ mod tests {
         </body></html>"#;
         let mut browser = browser_with(PolicyMode::Escudo, html);
         for host in ["http://img0.example", "http://img1.example"] {
-            browser.network_mut().register(host, |req: &Request| {
+            browser.fabric().register(host, |req: &Request| {
                 Response::ok_text(format!("img {}", req.url.path()))
             });
         }
@@ -1353,7 +1360,7 @@ mod tests {
         // Sequence-sorted shared log: the main page, then the images in document
         // order — completion order is irrelevant.
         let paths: Vec<String> = browser
-            .network()
+            .fabric()
             .log()
             .iter()
             .map(|e| e.url.path().to_string())
@@ -1375,7 +1382,7 @@ mod tests {
         </body></html>"#;
         let mut browser = browser_with(PolicyMode::Escudo, html);
         browser
-            .network_mut()
+            .fabric()
             .register("http://assets.example", |req: &Request| {
                 Response::ok_text(format!("asset {}", req.url.path()))
             });
@@ -1398,7 +1405,7 @@ mod tests {
         assert!(page.subresources.iter().all(SubresourceOutcome::succeeded));
         // The sequence-sorted log reads in plan order: critical lane first.
         let paths: Vec<String> = browser
-            .network()
+            .fabric()
             .log()
             .iter()
             .map(|e| e.url.path().to_string())
@@ -1421,30 +1428,45 @@ mod tests {
         // Speculation is a per-session opt-in: a default session never touches
         // the prefetch cache.
         browser.navigate("http://app.example/hub.php").unwrap();
-        assert_eq!(browser.fabric().cache_one_shot_entries(), 0);
+        assert_eq!(
+            FabricCounters::gather(browser.fabric()).cache_one_shot_entries,
+            0
+        );
         assert!(!browser.prefetch("http://app.example/next.php"));
 
         browser.set_prefetch_enabled(true);
         let hub = browser.navigate("http://app.example/hub.php").unwrap();
         assert_eq!(browser.page(hub).stats.prefetch_issued, 1);
         assert!(!browser.page(hub).stats.prefetch_hit);
-        assert_eq!(browser.fabric().cache_one_shot_entries(), 1);
+        assert_eq!(
+            FabricCounters::gather(browser.fabric()).cache_one_shot_entries,
+            1
+        );
 
         // The speculative fetch is unlogged; the log grows only when the hit
         // is consumed — under the navigation's own sequence number.
-        let logged_before = browser.network().log().len();
+        let logged_before = browser.fabric().log().len();
         let next = browser.navigate("http://app.example/next.php").unwrap();
         assert!(browser.page(next).stats.prefetch_hit);
         assert_eq!(browser.prefetch_hits(), 1);
-        assert_eq!(browser.fabric().cache_one_shot_hits(), 1);
-        assert_eq!(browser.fabric().cache_one_shot_entries(), 0);
-        let log = browser.network().log();
+        assert_eq!(
+            FabricCounters::gather(browser.fabric()).cache_one_shot_hits,
+            1
+        );
+        assert_eq!(
+            FabricCounters::gather(browser.fabric()).cache_one_shot_entries,
+            0
+        );
+        let log = browser.fabric().log();
         assert_eq!(log.len(), logged_before + 1);
         assert_eq!(log.last().unwrap().url.path(), "/next.php");
 
         // The explicit API refills the cache for the next repeat navigation.
         assert!(browser.prefetch("http://app.example/next.php"));
-        assert_eq!(browser.fabric().cache_one_shot_entries(), 1);
+        assert_eq!(
+            FabricCounters::gather(browser.fabric()).cache_one_shot_entries,
+            1
+        );
         assert!(!browser.prefetch("http://unregistered.example/x"));
         assert!(!browser.prefetch("not a url"));
     }
@@ -1467,7 +1489,10 @@ mod tests {
         browser.navigate("http://app.example/seen.php").unwrap();
         let again = browser.navigate("http://app.example/index.php").unwrap();
         assert_eq!(browser.page(again).stats.prefetch_issued, 1);
-        assert_eq!(browser.fabric().cache_one_shot_entries(), 1);
+        assert_eq!(
+            FabricCounters::gather(browser.fabric()).cache_one_shot_entries,
+            1
+        );
         let hit = browser.navigate("http://app.example/seen.php").unwrap();
         assert!(browser.page(hit).stats.prefetch_hit);
     }
@@ -1477,9 +1502,8 @@ mod tests {
         let fabric = Arc::new(SharedNetwork::new());
         let engine = engine_for_mode(PolicyMode::Escudo);
         let jar = Arc::new(SharedCookieJar::new());
-        let mut a =
-            Browser::with_network(Arc::clone(&engine), Arc::clone(&jar), Arc::clone(&fabric));
-        a.network_mut().register(
+        let a = Browser::with_network(Arc::clone(&engine), Arc::clone(&jar), Arc::clone(&fabric));
+        a.fabric().register(
             "http://app.example",
             Static("<html><body ring=1>shared</body></html>".to_string()),
         );
@@ -1487,9 +1511,9 @@ mod tests {
         // shared fabric — and both sessions read one request log.
         let mut b = Browser::with_network(engine, jar, fabric);
         b.navigate("http://app.example/from-b.php").unwrap();
-        assert_eq!(a.network().log().len(), 1);
-        assert_eq!(a.network().count_requests_to("app.example"), 1);
-        assert_eq!(a.network().log()[0].url.path(), "/from-b.php");
+        assert_eq!(a.fabric().log().len(), 1);
+        assert_eq!(a.fabric().count_requests_to("app.example"), 1);
+        assert_eq!(a.fabric().log()[0].url.path(), "/from-b.php");
     }
 
     #[test]
@@ -1505,7 +1529,7 @@ mod tests {
         let tenant = Arc::new(Tenant::new("acme", TenantConfig::default()));
         let mut browser = Browser::with_tenant(Arc::clone(&tenant));
         browser
-            .network_mut()
+            .fabric()
             .register("http://app.example", Static(html.to_string()));
         assert_eq!(browser.tenant().unwrap().id(), "acme");
         assert_eq!(browser.mode(), PolicyMode::Escudo);
@@ -1561,16 +1585,14 @@ mod tests {
             TenantConfig::default().with_admission(1, 0),
         ));
         let mut browser = Browser::with_tenant(Arc::clone(&tenant));
-        browser
-            .network_mut()
-            .register("http://app.example", SetThenEcho);
+        browser.fabric().register("http://app.example", SetThenEcho);
         browser.navigate("http://app.example/login.php").unwrap();
         browser.navigate("http://app.example/a.php").unwrap();
-        let log = browser.network().log();
+        let log = browser.fabric().log();
         assert_eq!(log.last().unwrap().cookie_names, vec!["sid"]);
 
         browser.navigate("http://app.example/b.php").unwrap();
-        let log = browser.network().log();
+        let log = browser.fabric().log();
         assert!(log.last().unwrap().cookie_names.is_empty());
         let stats = tenant.admission().stats();
         assert_eq!((stats.admitted, stats.rejected), (1, 1));

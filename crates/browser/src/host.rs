@@ -13,7 +13,7 @@ use escudo_core::config::{NativeApi, AC_ATTRIBUTES};
 use escudo_core::{Operation, PolicyMode, PrincipalContext};
 use escudo_dom::{Document, NodeId};
 use escudo_html::{Token, Tokenizer};
-use escudo_net::{Dispatch, Method, Network, Request, SetCookie, SharedCookieJar, Url};
+use escudo_net::{Dispatch, Method, Request, SetCookie, SharedCookieJar, SharedNetwork, Url};
 use escudo_script::{Host, HostError, HostNodeId, HostXhrId, XhrOutcome};
 
 use crate::context::SecurityContextTable;
@@ -27,7 +27,7 @@ pub struct BrowserHost<'a> {
     pub(crate) document: &'a mut Document,
     pub(crate) contexts: &'a mut SecurityContextTable,
     pub(crate) jar: &'a SharedCookieJar,
-    pub(crate) network: &'a Network,
+    pub(crate) fabric: &'a SharedNetwork,
     pub(crate) history_len: usize,
     pub(crate) page_url: Url,
     pub(crate) principal: PrincipalContext,
@@ -58,7 +58,7 @@ impl<'a> BrowserHost<'a> {
         document: &'a mut Document,
         contexts: &'a mut SecurityContextTable,
         jar: &'a SharedCookieJar,
-        network: &'a Network,
+        fabric: &'a SharedNetwork,
         history_len: usize,
         page_url: Url,
         principal: PrincipalContext,
@@ -70,7 +70,7 @@ impl<'a> BrowserHost<'a> {
             document,
             contexts,
             jar,
-            network,
+            fabric,
             history_len,
             page_url,
             principal,
@@ -454,7 +454,7 @@ impl Host for BrowserHost<'_> {
         // The fabric serves a fresh cache entry only under this XHR's own
         // mediated `Cookie` header, and a retry re-sends the mediated request
         // verbatim — the attachment above is the one plan this XHR ever gets.
-        match self.network.fabric().send(request, self.xhr).result {
+        match self.fabric.send(request, self.xhr).result {
             Ok(response) => Ok(XhrOutcome {
                 status: response.status.0,
                 body: Arc::try_unwrap(response)

@@ -17,6 +17,7 @@
 
 use escudo_core::tenant::{AdmissionStats, TenantConfig, TenantRegistry};
 use escudo_core::EngineStats;
+pub use escudo_net::FabricCounters;
 use escudo_net::{JarStats, SharedCookieJar, SharedNetwork};
 
 use crate::browser::Browser;
@@ -52,99 +53,8 @@ impl ErmCounters {
     }
 }
 
-/// Counters of one [`SharedNetwork`] fabric: request log, fetch pool, chaos
-/// and both response-cache layers.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FabricCounters {
-    /// Requests currently resident in the bounded log.
-    pub log_len: u64,
-    /// Bound on retained log entries.
-    pub log_capacity: u64,
-    /// Log entries dropped because the log was full.
-    pub dropped_log_entries: u64,
-    /// Workers in the persistent fetch pool.
-    pub pool_workers: u64,
-    /// Jobs the pool's parked workers have executed.
-    pub pool_jobs_executed: u64,
-    /// Always 0: a pool worker never abandons the batch it is draining. Kept
-    /// only because the navigation benchmark (`navbench`) reads it.
-    pub pool_preemptions: u64,
-    /// Failing faults injected by installed fault plans (timeouts + panics).
-    pub fault_injected: u64,
-    /// Dispatches slowed by an injected `SlowBy` schedule.
-    pub fault_slowdowns: u64,
-    /// Retry attempts granted across all resilient dispatches.
-    pub retry_attempts: u64,
-    /// Resilient dispatches that succeeded only after retrying.
-    pub retry_successes: u64,
-    /// Retries refused because a batch deadline budget ran dry.
-    pub retry_deadline_exhausted: u64,
-    /// Circuit-breaker trips (including half-open re-trips).
-    pub breaker_trips: u64,
-    /// Half-open probes admitted after a breaker cooldown.
-    pub breaker_probes: u64,
-    /// Breakers closed by a successful half-open probe.
-    pub breaker_recoveries: u64,
-    /// Dispatches refused outright by an open breaker.
-    pub breaker_fast_fails: u64,
-    /// Fetches served from persistent response-cache entries (zero-copy hits).
-    pub cache_hits: u64,
-    /// Fetches served from one-shot (speculative prefetch) entries.
-    pub cache_one_shot_hits: u64,
-    /// Entries of either layer discarded because the consuming request's
-    /// mediation plan no longer matched.
-    pub cache_stale_discards: u64,
-    /// Cache entries discarded because their freshness TTL had lapsed.
-    pub cache_expired: u64,
-    /// Cache entries evicted by the per-shard LRU capacity bound.
-    pub cache_evictions: u64,
-    /// Responses inserted into the cache (both layers).
-    pub cache_stored: u64,
-    /// Duplicate plan slots served by batch-level single-flight coalescing.
-    pub cache_coalesced: u64,
-    /// Entries currently resident in the response cache (both layers).
-    pub cache_entries: u64,
-    /// One-shot (speculative prefetch) entries currently resident.
-    pub cache_one_shot_entries: u64,
-}
-
-impl FabricCounters {
-    /// Reads the counters of `fabric`.
-    #[must_use]
-    pub fn gather(fabric: &SharedNetwork) -> Self {
-        FabricCounters {
-            log_len: fabric.log_len() as u64,
-            log_capacity: fabric.log_capacity() as u64,
-            dropped_log_entries: fabric.dropped_log_entries(),
-            pool_workers: fabric.fetch_pool_workers() as u64,
-            pool_jobs_executed: fabric.fetch_pool_jobs_executed(),
-            pool_preemptions: 0,
-            fault_injected: fabric.faults_injected(),
-            fault_slowdowns: fabric.fault_slowdowns(),
-            retry_attempts: fabric.retry_attempts(),
-            retry_successes: fabric.retry_successes(),
-            retry_deadline_exhausted: fabric.retry_deadline_exhausted(),
-            breaker_trips: fabric.breaker_trips(),
-            breaker_probes: fabric.breaker_probes(),
-            breaker_recoveries: fabric.breaker_recoveries(),
-            breaker_fast_fails: fabric.breaker_fast_fails(),
-            cache_hits: fabric.cache_hits(),
-            cache_one_shot_hits: fabric.cache_one_shot_hits(),
-            cache_stale_discards: fabric.cache_stale_discards(),
-            cache_expired: fabric.cache_expired(),
-            cache_evictions: fabric.cache_evictions(),
-            cache_stored: fabric.cache_stored(),
-            cache_coalesced: fabric.cache_coalesced(),
-            cache_entries: fabric.cache_entries() as u64,
-            cache_one_shot_entries: fabric.cache_one_shot_entries() as u64,
-        }
-    }
-}
-
 /// One tenant's slice of the control plane: its engine generation, the
-/// generation's cache statistics, its admission bucket and its fetch fault
-/// budget (the [`FetchPolicy`](escudo_net::FetchPolicy) posture tenant-bound
-/// sessions dispatch under).
+/// generation's engine statistics, its admission bucket and its configuration.
 #[derive(Debug, Clone)]
 pub struct TenantSnapshot {
     /// The tenant id.
@@ -155,7 +65,7 @@ pub struct TenantSnapshot {
     pub engine: EngineStats,
     /// The tenant's admission-control counters.
     pub admission: AdmissionStats,
-    /// The tenant's configuration (admission posture + fetch fault budget).
+    /// The tenant's configuration (policy mode and admission posture).
     pub config: TenantConfig,
 }
 
@@ -435,14 +345,6 @@ impl ControlPlaneSnapshot {
             push(
                 format!("{prefix}_rejected"),
                 tenant.admission.rejected as f64,
-            );
-            push(
-                format!("{prefix}_fetch_max_retries"),
-                tenant.config.fetch_max_retries as f64,
-            );
-            push(
-                format!("{prefix}_fetch_breaker_threshold"),
-                tenant.config.fetch_breaker_threshold as f64,
             );
         }
         fields

@@ -19,9 +19,8 @@
 //!   onto one dispatch; when that dispatch fails, each duplicate goes to the
 //!   wire itself under the plan's policy, exactly as an uncoalesced slot would;
 //! * a retry re-sends the mediated request verbatim ([`crate::fault`]);
-//! * only wire responses are admitted, and
-//!   [`ResponseCache::store`](crate::ResponseCache::store) refuses anything
-//!   per-recipient or uncacheable.
+//! * only wire responses are admitted, and the cache's `store` refuses
+//!   anything per-recipient or uncacheable.
 //!
 //! Each [`Outcome`] reports how its slot was served, so a caller can count
 //! hits and apply `Set-Cookie` from wire responses only.
@@ -41,6 +40,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use crate::error::NetError;
@@ -225,7 +225,7 @@ impl PlanHandle {
                     if let Some(sequence) = sequence {
                         fabric.record(sequence, &request, response.status.0);
                     }
-                    fabric.cache.note_coalesced(1);
+                    fabric.cache.coalesced.fetch_add(1, Ordering::Relaxed);
                     Outcome {
                         result: Ok(Arc::clone(response)),
                         served: Served::Coalesced,

@@ -412,6 +412,7 @@ mod tests {
     use crate::dispatch::{Dispatch, Sequence};
     use crate::fault::FetchPolicy;
     use crate::message::{Response, StatusCode};
+    use crate::shared_network::FabricCounters;
     use std::time::Duration;
 
     fn echo(req: &Request) -> Response {
@@ -496,7 +497,11 @@ mod tests {
         let (base, requests) = plan(&fabric, 4, 2);
         let results = send_batch(&fabric, base, requests, 1, Priority::Navigation);
         assert!(results.iter().all(Result::is_ok));
-        assert_eq!(fabric.fetch_pool_workers(), 0, "inline path spawns nothing");
+        assert_eq!(
+            FabricCounters::gather(&fabric).pool_workers,
+            0,
+            "inline path spawns nothing"
+        );
     }
 
     #[test]
@@ -507,7 +512,11 @@ mod tests {
         let (base, requests) = plan(&fabric, 8, 2);
         let results = send_batch(&fabric, base, requests, 4, Priority::Bulk);
         assert!(results.iter().all(Result::is_ok));
-        assert_eq!(fabric.fetch_pool_workers(), 0, "inline path spawns nothing");
+        assert_eq!(
+            FabricCounters::gather(&fabric).pool_workers,
+            0,
+            "inline path spawns nothing"
+        );
     }
 
     #[test]
@@ -518,12 +527,12 @@ mod tests {
             let results = send_batch(&fabric, base, requests, 4, Priority::Bulk);
             assert!(results.iter().all(Result::is_ok));
         }
-        let after_first = fabric.fetch_pool_workers();
+        let after_first = FabricCounters::gather(&fabric).pool_workers;
         assert!(after_first >= 3, "pool retains its parked workers");
         let (base, requests) = plan(&fabric, 8, 4);
         let _ = send_batch(&fabric, base, requests, 4, Priority::Bulk);
         assert_eq!(
-            fabric.fetch_pool_workers(),
+            FabricCounters::gather(&fabric).pool_workers,
             after_first,
             "a later batch reuses the parked workers instead of spawning"
         );
@@ -594,7 +603,11 @@ mod tests {
         assert!(results[0].is_ok());
         assert!(matches!(results[1], Err(NetError::FetchPanicked(_))));
         assert!(results[2].is_ok());
-        assert_eq!(fabric.fetch_pool_workers(), 0, "inline path spawns nothing");
+        assert_eq!(
+            FabricCounters::gather(&fabric).pool_workers,
+            0,
+            "inline path spawns nothing"
+        );
     }
 
     #[test]
@@ -622,7 +635,7 @@ mod tests {
         // Grow the pool to 4 with a wide batch first.
         let (base, requests) = plan(&fabric, 8, 4);
         let _ = send_batch(&fabric, base, requests, 5, Priority::Bulk);
-        assert!(fabric.fetch_pool_workers() >= 4);
+        assert!(FabricCounters::gather(&fabric).pool_workers >= 4);
         // Now a narrow batch: the bound must hold despite the grown pool.
         high_water.store(0, Ordering::SeqCst);
         let (base, requests) = plan(&fabric, 12, 4);
@@ -649,7 +662,7 @@ mod tests {
             }
         });
         assert_eq!(fabric.log_len(), 24);
-        assert!(fabric.fetch_pool_workers() <= MAX_POOL_WORKERS);
+        assert!(FabricCounters::gather(&fabric).pool_workers <= MAX_POOL_WORKERS as u64);
     }
 
     #[test]
@@ -744,9 +757,9 @@ mod tests {
         assert!(results.iter().all(|outcome| outcome.result.is_ok()));
         let total_retries: u32 = results.iter().map(|outcome| outcome.retries).sum();
         assert_eq!(total_retries, 1, "exactly the one faulted slot retried");
-        assert_eq!(fabric.faults_injected(), 1);
-        assert_eq!(fabric.retry_attempts(), 1);
-        assert_eq!(fabric.retry_successes(), 1);
+        assert_eq!(FabricCounters::gather(&fabric).fault_injected, 1);
+        assert_eq!(FabricCounters::gather(&fabric).retry_attempts, 1);
+        assert_eq!(FabricCounters::gather(&fabric).retry_successes, 1);
         // The healed retry logged under its originally reserved sequence, so
         // the sequence-sorted log still reads in exact plan order.
         let paths: Vec<String> = fabric.log().iter().map(|e| e.url.path().into()).collect();

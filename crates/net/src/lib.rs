@@ -11,12 +11,13 @@
 //!   stores (single-threaded and host-sharded concurrent) whose *attachment* decision
 //!   is delegated to the caller (the browser's reference monitor decides the `use`
 //!   operation),
-//! * [`Network`] / [`SharedNetwork`] / [`Server`] — a host registry mapping origins
-//!   to request handlers, with a request log the CSRF experiments read to see
-//!   whether a session cookie was attached to a forged request. [`SharedNetwork`]
-//!   is the `Arc`-shareable fabric (per-origin handler mutexes, lock-striped
-//!   sequence-ordered log, simulated latency); [`Network`] is the single-owner
-//!   convenience handle over one,
+//! * [`SharedNetwork`] / [`Server`] — the network fabric: a host registry mapping
+//!   origins to request handlers, with a request log the CSRF experiments read to
+//!   see whether a session cookie was attached to a forged request. It is taken by
+//!   `&self` and shared as an `Arc` (per-origin handler mutexes, lock-striped
+//!   sequence-ordered log, simulated latency),
+//! * [`FabricCounters`] — every counter of a fabric (log, fetch pool, faults,
+//!   retries, breakers, response cache), read in one call,
 //! * [`Dispatch`] — how a request travels: the one way to send one
 //!   ([`SharedNetwork::send`]) or a whole page plan
 //!   ([`SharedNetwork::send_plan`]), with its log sequence, retry
@@ -25,7 +26,7 @@
 //! # Example
 //!
 //! ```
-//! use escudo_net::{Dispatch, Method, Network, Request, Response, Server, Url};
+//! use escudo_net::{Dispatch, Method, Request, Response, Server, SharedNetwork, Url};
 //!
 //! struct Hello;
 //! impl Server for Hello {
@@ -34,10 +35,10 @@
 //!     }
 //! }
 //!
-//! let mut net = Network::new();
+//! let net = SharedNetwork::new();
 //! net.register("http://hello.example", Hello);
 //! let req = Request::new(Method::Get, Url::parse("http://hello.example/world")?);
-//! let resp = net.fabric().send(req, Dispatch::default()).result?;
+//! let resp = net.send(req, Dispatch::default()).result?;
 //! assert!(resp.body.contains("hello /world"));
 //! # Ok::<(), escudo_net::NetError>(())
 //! ```
@@ -68,8 +69,8 @@ pub use fetch_pool::Priority;
 pub use headers::Headers;
 pub use jar::CookieJar;
 pub use message::{Method, Request, Response, StatusCode};
-pub use network::{LoggedRequest, Network, Server};
-pub use response_cache::{CacheHit, CacheLayers, ResponseCache};
+pub use network::{LoggedRequest, Server};
+pub use response_cache::CacheLayers;
 pub use shared_jar::{JarShardStats, JarStats, SharedCookieJar};
-pub use shared_network::SharedNetwork;
+pub use shared_network::{FabricCounters, SharedNetwork};
 pub use url::Url;

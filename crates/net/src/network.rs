@@ -1,26 +1,19 @@
-//! The in-memory network: a registry of servers keyed by origin, plus a request log.
+//! What the in-memory network is made of: the [`Server`] trait request handlers
+//! implement, and the [`LoggedRequest`] entries of the request log.
 //!
 //! The log records every dispatched request together with the names of the cookies the
 //! browser attached; the defense-effectiveness experiments (§6.4) read it to determine
-//! whether a forged cross-site request carried the victim's session cookie.
-//!
-//! [`Network`] is the single-owner convenience handle: a thin wrapper over the
-//! `Arc`-shareable [`SharedNetwork`](crate::SharedNetwork) fabric, which holds the
-//! actual per-origin handlers, the lock-striped sequence-ordered log and the
-//! simulated latencies. Single-session tests keep the old ergonomics; concurrent
-//! deployments clone the fabric handle ([`Network::fabric`]) and share servers
-//! across sessions.
+//! whether a forged cross-site request carried the victim's session cookie. The
+//! registry of servers and the log itself live on the
+//! [`SharedNetwork`](crate::SharedNetwork) fabric.
 
 use std::fmt;
-use std::sync::Arc;
-
-use escudo_core::Origin;
 
 use crate::message::{Method, Request, Response};
-use crate::shared_network::SharedNetwork;
 use crate::url::Url;
 
-/// A server-side request handler registered with the [`Network`].
+/// A server-side request handler registered with the
+/// [`SharedNetwork`](crate::SharedNetwork).
 ///
 /// The in-memory applications (`escudo-apps`) implement this to stand in for the
 /// PHP applications the paper modified. Handlers must be `Send`: they live behind
@@ -70,97 +63,18 @@ impl fmt::Display for LoggedRequest {
     }
 }
 
-/// The single-owner handle over a (possibly shared) network fabric.
-#[derive(Default)]
-pub struct Network {
-    fabric: Arc<SharedNetwork>,
-}
-
-impl Network {
-    /// Creates a network over a fresh private fabric.
-    #[must_use]
-    pub fn new() -> Self {
-        Network::default()
-    }
-
-    /// Creates a handle over an existing (possibly shared) fabric — this is how
-    /// several concurrent sessions talk to the same servers and write one
-    /// sequence-ordered request log.
-    #[must_use]
-    pub fn with_fabric(fabric: Arc<SharedNetwork>) -> Self {
-        Network { fabric }
-    }
-
-    /// The underlying fabric (clone the `Arc` to share it with another session).
-    #[must_use]
-    pub fn fabric(&self) -> &Arc<SharedNetwork> {
-        &self.fabric
-    }
-
-    /// Registers a server for an origin given as a URL string (the path is ignored).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `origin_url` cannot be parsed — registration happens at setup time
-    /// with literal URLs, so a parse failure is a programming error.
-    pub fn register<S: Server + Send + 'static>(&mut self, origin_url: &str, server: S) {
-        self.fabric.register(origin_url, server);
-    }
-
-    /// Registers a server for an already-parsed origin.
-    pub fn register_origin<S: Server + Send + 'static>(&mut self, origin: Origin, server: S) {
-        self.fabric.register_origin(origin, server);
-    }
-
-    /// `true` when a server is registered for the origin of `url`.
-    #[must_use]
-    pub fn knows(&self, url: &Url) -> bool {
-        self.fabric.knows(url)
-    }
-
-    /// The request log in global sequence order, oldest first. (Owned snapshot:
-    /// the fabric's log is striped across locks, so entries cannot be borrowed.)
-    #[must_use]
-    pub fn log(&self) -> Vec<LoggedRequest> {
-        self.fabric.log()
-    }
-
-    /// Clears the request log (e.g. between experiment trials).
-    pub fn clear_log(&self) {
-        self.fabric.clear_log();
-    }
-
-    /// Convenience query: the log entries for requests sent to `host`.
-    #[must_use]
-    pub fn requests_to(&self, host: &str) -> Vec<LoggedRequest> {
-        self.fabric.requests_to(host)
-    }
-
-    /// Counts the log entries for requests sent to `host` without materializing
-    /// them — the common count-only query of the defense experiments.
-    #[must_use]
-    pub fn count_requests_to(&self, host: &str) -> usize {
-        self.fabric.count_requests_to(host)
-    }
-}
-
-impl fmt::Debug for Network {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Network")
-            .field("fabric", &self.fabric)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::dispatch::Dispatch;
     use crate::error::NetError;
     use crate::message::StatusCode;
+    use crate::shared_network::SharedNetwork;
 
-    fn send(net: &Network, request: Request) -> Result<Arc<Response>, NetError> {
-        net.fabric().send(request, Dispatch::default()).result
+    fn send(net: &SharedNetwork, request: Request) -> Result<Arc<Response>, NetError> {
+        net.send(request, Dispatch::default()).result
     }
 
     fn echo_server(req: &Request) -> Response {
@@ -169,7 +83,7 @@ mod tests {
 
     #[test]
     fn dispatch_routes_by_origin() {
-        let mut net = Network::new();
+        let net = SharedNetwork::new();
         net.register("http://a.example", echo_server);
         net.register("http://b.example", |_req: &Request| {
             Response::error(StatusCode::FORBIDDEN, "nope")
@@ -183,14 +97,14 @@ mod tests {
 
     #[test]
     fn unknown_hosts_are_unreachable() {
-        let net = Network::new();
+        let net = SharedNetwork::new();
         let err = send(&net, Request::get("http://nowhere.example/").unwrap()).unwrap_err();
         assert!(matches!(err, NetError::HostUnreachable(_)));
     }
 
     #[test]
     fn different_port_is_a_different_origin() {
-        let mut net = Network::new();
+        let net = SharedNetwork::new();
         net.register("http://a.example:8080", echo_server);
         assert!(send(&net, Request::get("http://a.example/").unwrap()).is_err());
         assert!(send(&net, Request::get("http://a.example:8080/").unwrap()).is_ok());
@@ -198,7 +112,7 @@ mod tests {
 
     #[test]
     fn the_log_records_cookies_and_status() {
-        let mut net = Network::new();
+        let net = SharedNetwork::new();
         net.register("http://forum.example", echo_server);
         let req = Request::get("http://forum.example/post")
             .unwrap()
@@ -220,7 +134,7 @@ mod tests {
 
     #[test]
     fn closures_can_be_servers_and_knows_reports_registration() {
-        let mut net = Network::new();
+        let net = SharedNetwork::new();
         let mut hits = 0usize;
         net.register("http://count.example", move |_req: &Request| {
             hits += 1;
@@ -236,17 +150,16 @@ mod tests {
 
     #[test]
     fn sessions_sharing_a_fabric_see_each_others_servers_and_log() {
-        let fabric = Arc::new(SharedNetwork::new());
-        let mut a = Network::with_fabric(Arc::clone(&fabric));
+        let a = Arc::new(SharedNetwork::new());
         a.register("http://app.example", echo_server);
         // A second handle over the same fabric reaches the same server…
-        let b = Network::with_fabric(Arc::clone(&fabric));
+        let b = Arc::clone(&a);
         assert!(b.knows(&Url::parse("http://app.example/").unwrap()));
         send(&b, Request::get("http://app.example/from-b").unwrap()).unwrap();
         // …and both handles read one shared, sequence-ordered log.
         assert_eq!(a.log().len(), 1);
         assert_eq!(a.log()[0].url.path(), "/from-b");
-        assert!(Arc::ptr_eq(a.fabric(), b.fabric()));
+        assert!(Arc::ptr_eq(&a, &b));
     }
 
     #[test]

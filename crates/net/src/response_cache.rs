@@ -128,25 +128,33 @@ struct Shard {
 
 /// A successful cache lookup.
 #[derive(Debug, Clone)]
-pub struct CacheHit {
+pub(crate) struct CacheHit {
     /// The cached response; cloning the `Arc` is the whole cost of the hit.
     pub response: Arc<Response>,
     /// `true` when this hit consumed a one-shot (prefetched) entry.
     pub one_shot: bool,
 }
 
-/// The sharded, capacity-bounded, mediation-keyed response cache.
+/// The sharded, capacity-bounded, mediation-keyed response cache. Its
+/// monotonic counters are read by [`FabricCounters::gather`](crate::FabricCounters::gather).
 #[derive(Debug)]
-pub struct ResponseCache {
+pub(crate) struct ResponseCache {
     shards: Vec<Mutex<Shard>>,
     shard_capacity: usize,
-    hits: AtomicU64,
-    one_shot_hits: AtomicU64,
-    stale: AtomicU64,
-    expired: AtomicU64,
-    evicted: AtomicU64,
-    stored: AtomicU64,
-    coalesced: AtomicU64,
+    /// Persistent-entry hits served.
+    pub(crate) hits: AtomicU64,
+    /// One-shot (prefetch) hits served.
+    pub(crate) one_shot_hits: AtomicU64,
+    /// Entries discarded because the mediated cookie header changed.
+    pub(crate) stale: AtomicU64,
+    /// Entries discarded at lookup because their lifetime had passed.
+    pub(crate) expired: AtomicU64,
+    /// Entries evicted to keep a shard within capacity.
+    pub(crate) evicted: AtomicU64,
+    /// Successful stores (including overwrites).
+    pub(crate) stored: AtomicU64,
+    /// Duplicate plan slots served from a single dispatch (batch single-flight).
+    pub(crate) coalesced: AtomicU64,
 }
 
 impl ResponseCache {
@@ -322,12 +330,6 @@ impl ResponseCache {
             .sum()
     }
 
-    /// `true` when no entries are cached.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Live one-shot (prefetched) entries across all shards.
     #[must_use]
     pub fn one_shot_len(&self) -> usize {
@@ -343,59 +345,16 @@ impl ResponseCache {
             })
             .sum()
     }
-
-    /// Persistent-entry hits served so far.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// One-shot (prefetch) hits served so far.
-    #[must_use]
-    pub fn one_shot_hits(&self) -> u64 {
-        self.one_shot_hits.load(Ordering::Relaxed)
-    }
-
-    /// Entries discarded because the mediated cookie header changed.
-    #[must_use]
-    pub fn stale_discards(&self) -> u64 {
-        self.stale.load(Ordering::Relaxed)
-    }
-
-    /// Entries discarded at lookup because their `max-age` lifetime had passed.
-    #[must_use]
-    pub fn expired(&self) -> u64 {
-        self.expired.load(Ordering::Relaxed)
-    }
-
-    /// Entries evicted to keep a shard within capacity.
-    #[must_use]
-    pub fn evictions(&self) -> u64 {
-        self.evicted.load(Ordering::Relaxed)
-    }
-
-    /// Successful stores (including overwrites).
-    #[must_use]
-    pub fn stored(&self) -> u64 {
-        self.stored.load(Ordering::Relaxed)
-    }
-
-    /// Duplicate plan slots served from a single dispatch (batch single-flight).
-    #[must_use]
-    pub fn coalesced(&self) -> u64 {
-        self.coalesced.load(Ordering::Relaxed)
-    }
-
-    /// Records `n` duplicate plan slots coalesced onto one dispatch.
-    pub fn note_coalesced(&self, n: u64) {
-        self.coalesced.fetch_add(n, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::message::StatusCode;
+
+    fn read(counter: &AtomicU64) -> u64 {
+        counter.load(Ordering::Relaxed)
+    }
 
     const BOTH: CacheLayers = CacheLayers {
         one_shot: true,
@@ -431,7 +390,7 @@ mod tests {
             .expect("hit");
         assert!(!hit.one_shot);
         assert_eq!(hit.response.body, "static");
-        assert_eq!(cache.hits(), 1);
+        assert_eq!(read(&cache.hits), 1);
         // A hit leaves a persistent entry in place.
         assert!(cache
             .lookup(Method::Get, "http://a/x", "", 0, BOTH)
@@ -450,8 +409,8 @@ mod tests {
             0,
             false
         ));
-        assert!(cache.is_empty());
-        assert_eq!(cache.stored(), 0);
+        assert_eq!(cache.len(), 0);
+        assert_eq!(read(&cache.stored), 0);
         // Speculation keeps its old rule: a one-shot entry admits any status.
         assert!(cache.store(Method::Get, "http://a/404", "", missing, 0, true));
     }
@@ -464,7 +423,7 @@ mod tests {
         let secret = Arc::new(secret);
         assert!(!cache.store(Method::Get, "http://a/s", "", Arc::clone(&secret), 0, false));
         assert!(!cache.store(Method::Get, "http://a/s", "", secret, 0, true));
-        assert!(cache.is_empty());
+        assert_eq!(cache.len(), 0);
     }
 
     #[test]
@@ -483,11 +442,11 @@ mod tests {
             .lookup(Method::Get, "http://a/p", "sid=1", 0, BOTH)
             .expect("hit");
         assert!(hit.one_shot);
-        assert_eq!(cache.one_shot_hits(), 1);
+        assert_eq!(read(&cache.one_shot_hits), 1);
         assert!(cache
             .lookup(Method::Get, "http://a/p", "sid=1", 0, BOTH)
             .is_none());
-        assert!(cache.is_empty());
+        assert_eq!(cache.len(), 0);
     }
 
     #[test]
@@ -504,12 +463,12 @@ mod tests {
         assert!(cache
             .lookup(Method::Get, "http://a/x", "sid=mallory", 0, BOTH)
             .is_none());
-        assert_eq!(cache.stale_discards(), 1);
+        assert_eq!(read(&cache.stale), 1);
         // Fail closed: the entry is gone, even for the original header.
         assert!(cache
             .lookup(Method::Get, "http://a/x", "sid=alice", 0, BOTH)
             .is_none());
-        assert_eq!(cache.stale_discards(), 1);
+        assert_eq!(read(&cache.stale), 1);
     }
 
     #[test]
@@ -530,8 +489,8 @@ mod tests {
         assert!(cache
             .lookup(Method::Get, "http://a/x", "", just_before + 1, BOTH)
             .is_none());
-        assert_eq!(cache.expired(), 1);
-        assert!(cache.is_empty());
+        assert_eq!(read(&cache.expired), 1);
+        assert_eq!(cache.len(), 0);
     }
 
     #[test]
@@ -542,15 +501,15 @@ mod tests {
             cache.store(Method::Get, &url, "", cacheable("x", 60), 0, false);
         }
         assert!(cache.len() <= 4);
-        assert_eq!(cache.evictions() + cache.len() as u64, 32);
+        assert_eq!(read(&cache.evicted) + cache.len() as u64, 32);
         // Overwriting an existing URL does not evict.
         let survivor = (0..32)
             .map(|i| format!("http://a/{i}"))
             .find(|url| cache.lookup(Method::Get, url, "", 0, BOTH).is_some())
             .expect("some entry survives");
-        let before = cache.evictions();
+        let before = read(&cache.evicted);
         cache.store(Method::Get, &survivor, "", cacheable("y", 60), 0, false);
-        assert_eq!(cache.evictions(), before);
+        assert_eq!(read(&cache.evicted), before);
         assert_eq!(
             cache
                 .lookup(Method::Get, &survivor, "", 0, BOTH)
@@ -576,8 +535,8 @@ mod tests {
             false
         ));
         assert!(!cache.store(Method::Get, "http://a/t", "", tainted, 0, true));
-        assert!(cache.is_empty());
-        assert_eq!(cache.stored(), 0);
+        assert_eq!(cache.len(), 0);
+        assert_eq!(read(&cache.stored), 0);
     }
 
     #[test]
@@ -652,8 +611,8 @@ mod tests {
         assert!(cache
             .lookup(Method::Get, "http://a/p", "", ONE_SHOT_DEFAULT_TTL_NS, BOTH)
             .is_none());
-        assert_eq!(cache.expired(), 1);
-        assert!(cache.is_empty());
+        assert_eq!(read(&cache.expired), 1);
+        assert_eq!(cache.len(), 0);
     }
 
     #[test]
@@ -695,7 +654,7 @@ mod tests {
                 CacheLayers::PERSISTENT
             )
             .is_none());
-        assert_eq!(cache.stale_discards(), 0);
+        assert_eq!(read(&cache.stale), 0);
         // Each entry still serves its own layer.
         assert!(cache
             .lookup(Method::Get, "http://a/p", "", 0, CacheLayers::ONE_SHOT)

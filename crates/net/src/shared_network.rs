@@ -1,10 +1,8 @@
 //! The thread-safe, `Arc`-shareable network fabric for concurrent sessions and
 //! pipelined loaders.
 //!
-//! [`Network`](crate::Network) used to own its servers and its request log behind
-//! `&mut self`, which serialized every fetch of every session — the contention-free
-//! decision engine and the host-sharded cookie jar were throttled by a sequential
-//! transport. [`SharedNetwork`] is the fabric those components deserve:
+//! [`SharedNetwork`] is taken by `&self` everywhere, so one fabric serves every
+//! session and every worker of the pipelined loader at once:
 //!
 //! * **Per-origin handlers.** Each registered [`Server`] sits behind its own
 //!   `Mutex`, held only for the duration of one `handle` call — requests to
@@ -20,10 +18,11 @@
 //!   numbers up front ([`SharedNetwork::reserve_sequences`]) and dispatch each
 //!   pre-planned request under its pre-assigned number: the sorted log then shows
 //!   document order regardless of completion order.
-//! * **Bounded log.** Like the reference monitor's audit ring, the log keeps at
-//!   most [`SharedNetwork::log_capacity`] entries; overflow drops the
-//!   oldest (lowest-sequence) entries in amortized batches and counts them, so
-//!   long multi-session runs stop growing memory without bound.
+//! * **Bounded log.** Like the reference monitor's audit ring, the log keeps a
+//!   bounded number of entries ([`SharedNetwork::with_log_capacity`]);
+//!   overflow drops the oldest (lowest-sequence) entries in amortized batches
+//!   and counts them, so long multi-session runs stop growing memory without
+//!   bound.
 //! * **Simulated per-origin latency.** [`SharedNetwork::set_latency`] attaches a
 //!   synthetic service time to an origin, slept *outside* every lock — so the
 //!   pipelining win of overlapping slow fetches is measurable in-process, without
@@ -37,7 +36,7 @@
 //!   a thread spawn per page — with navigation-critical slots claimed ahead
 //!   of bulk and background ones ([`crate::fetch_pool::Priority`]).
 //! * **Mediation-keyed response cache.** The fabric owns one shared
-//!   [`ResponseCache`](crate::response_cache::ResponseCache): sharded,
+//!   response cache ([`crate::response_cache`]): sharded,
 //!   capacity-bounded, holding `Arc<Response>` entries keyed by
 //!   `(method, url)` and validated against the **mediated cookie header** the
 //!   consuming request just computed for itself. The mediation plan is the
@@ -47,6 +46,8 @@
 //!   request bytes it already proved identical. Speculative prefetch is the
 //!   cache's *one-shot* layer: entries parked by background speculation are
 //!   consumed at most once.
+//! * **One read of every counter.** [`FabricCounters::gather`] reads the log,
+//!   pool, chaos and cache counters straight from their atomics in one call.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -107,7 +108,6 @@ struct SequencedEntry {
 ///
 /// Taken by `&self` everywhere; hand sessions an `Arc<SharedNetwork>` (that is what
 /// `Browser::with_network` threads through browser- and script-initiated requests).
-/// The single-owner [`Network`](crate::Network) is a thin wrapper over one of these.
 pub struct SharedNetwork {
     servers: RwLock<HashMap<Origin, Arc<OriginHandler>>>,
     stripes: Vec<Mutex<Vec<SequencedEntry>>>,
@@ -182,8 +182,8 @@ impl SharedNetwork {
         }
     }
 
-    /// The fabric's chaos counters (crate-internal; read through the public
-    /// per-counter getters in [`crate::fault`]).
+    /// The fabric's chaos counters (crate-internal; read through
+    /// [`FabricCounters::gather`]).
     pub(crate) fn chaos(&self) -> &crate::fault::ChaosCounters {
         &self.chaos
     }
@@ -192,20 +192,6 @@ impl SharedNetwork {
     /// [`SharedNetwork::send_plan`]).
     pub(crate) fn pool(&self) -> &crate::fetch_pool::FetchPool {
         &self.pool
-    }
-
-    /// Parked fetch-pool worker threads currently alive (0 until the first
-    /// batch actually fans out — the pool spawns lazily).
-    #[must_use]
-    pub fn fetch_pool_workers(&self) -> usize {
-        self.pool.workers()
-    }
-
-    /// Fetch jobs executed by pool workers so far (helping submitters' jobs are
-    /// not counted — they never crossed a thread).
-    #[must_use]
-    pub fn fetch_pool_jobs_executed(&self) -> u64 {
-        self.pool.jobs_executed()
     }
 
     /// Registers a server for an origin given as a URL string (the path is
@@ -387,65 +373,6 @@ impl SharedNetwork {
         Ok(response)
     }
 
-    /// One-shot (speculative) cache entries consumed by a request whose
-    /// mediation plan still matched.
-    #[must_use]
-    pub fn cache_one_shot_hits(&self) -> u64 {
-        self.cache.one_shot_hits()
-    }
-
-    /// Cache entries discarded because the consuming request's mediation plan
-    /// no longer matched the one they were stored under (both layers).
-    #[must_use]
-    pub fn cache_stale_discards(&self) -> u64 {
-        self.cache.stale_discards()
-    }
-
-    /// Parked speculative (one-shot) responses currently cached.
-    #[must_use]
-    pub fn cache_one_shot_entries(&self) -> usize {
-        self.cache.one_shot_len()
-    }
-
-    /// Persistent cache entries served (one-shot hits count separately under
-    /// [`cache_one_shot_hits`](SharedNetwork::cache_one_shot_hits)).
-    #[must_use]
-    pub fn cache_hits(&self) -> u64 {
-        self.cache.hits()
-    }
-
-    /// Cache entries discarded at lookup because their `max-age` lifetime had
-    /// passed on the fabric's clock.
-    #[must_use]
-    pub fn cache_expired(&self) -> u64 {
-        self.cache.expired()
-    }
-
-    /// Cache entries evicted to keep a shard within capacity.
-    #[must_use]
-    pub fn cache_evictions(&self) -> u64 {
-        self.cache.evictions()
-    }
-
-    /// Successful cache stores (including overwrites), both layers.
-    #[must_use]
-    pub fn cache_stored(&self) -> u64 {
-        self.cache.stored()
-    }
-
-    /// Duplicate plan slots served from a single dispatch by batch-level
-    /// single-flight coalescing.
-    #[must_use]
-    pub fn cache_coalesced(&self) -> u64 {
-        self.cache.coalesced()
-    }
-
-    /// Total live cache entries, both layers.
-    #[must_use]
-    pub fn cache_entries(&self) -> usize {
-        self.cache.len()
-    }
-
     /// Logs `request` (answered with `status`) under `sequence`: a wire
     /// dispatch and a cache hit standing in for one write the same entry.
     /// The entry lands in the stripe its sequence selects, evicting the
@@ -545,18 +472,6 @@ impl SharedNetwork {
             })
             .sum()
     }
-
-    /// Total bound on retained log entries (0 when unbounded).
-    #[must_use]
-    pub fn log_capacity(&self) -> usize {
-        self.stripe_capacity * self.stripes.len()
-    }
-
-    /// Number of log entries dropped because their stripe was full.
-    #[must_use]
-    pub fn dropped_log_entries(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
 }
 
 impl fmt::Debug for SharedNetwork {
@@ -572,11 +487,109 @@ impl fmt::Debug for SharedNetwork {
                     .collect::<Vec<_>>(),
             )
             .field("logged_requests", &self.log_len())
-            .field("dropped_log_entries", &self.dropped_log_entries())
-            .field("fetch_pool_workers", &self.fetch_pool_workers())
-            .field("cache_one_shot_entries", &self.cache_one_shot_entries())
-            .field("cache_one_shot_hits", &self.cache_one_shot_hits())
+            .field("dropped_log_entries", &self.dropped.load(Ordering::Relaxed))
+            .field("fetch_pool_workers", &self.pool.workers())
+            .field("cache_one_shot_entries", &self.cache.one_shot_len())
+            .field(
+                "cache_one_shot_hits",
+                &self.cache.one_shot_hits.load(Ordering::Relaxed),
+            )
             .finish()
+    }
+}
+
+/// Every counter of one [`SharedNetwork`] fabric: request log, fetch pool,
+/// chaos and both response-cache layers, read in one call.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct FabricCounters {
+    /// Requests currently resident in the bounded log.
+    pub log_len: u64,
+    /// Bound on retained log entries (0 when unbounded).
+    pub log_capacity: u64,
+    /// Log entries dropped because the log was full (cumulative: clearing
+    /// the log does not reset it).
+    pub dropped_log_entries: u64,
+    /// Workers in the persistent fetch pool (0 until the first plan fans
+    /// out — the pool spawns lazily).
+    pub pool_workers: u64,
+    /// Jobs the pool's parked workers have executed (a submitter helping with
+    /// its own plan is not counted — its jobs never crossed a thread).
+    pub pool_jobs_executed: u64,
+    /// Always 0: a pool worker never abandons the batch it is draining. Kept
+    /// only because the navigation benchmark (`navbench`) reads it.
+    pub pool_preemptions: u64,
+    /// Failing faults injected by installed fault plans (timeouts + panics).
+    pub fault_injected: u64,
+    /// Dispatches slowed by an injected `SlowBy` schedule.
+    pub fault_slowdowns: u64,
+    /// Retry attempts granted across all resilient dispatches.
+    pub retry_attempts: u64,
+    /// Resilient dispatches that succeeded only after retrying.
+    pub retry_successes: u64,
+    /// Retries refused because a batch deadline budget ran dry.
+    pub retry_deadline_exhausted: u64,
+    /// Circuit-breaker trips (including half-open re-trips).
+    pub breaker_trips: u64,
+    /// Half-open probes admitted after a breaker cooldown.
+    pub breaker_probes: u64,
+    /// Breakers closed by a successful half-open probe.
+    pub breaker_recoveries: u64,
+    /// Dispatches refused outright by an open breaker.
+    pub breaker_fast_fails: u64,
+    /// Fetches served from persistent response-cache entries (zero-copy hits).
+    pub cache_hits: u64,
+    /// Fetches served from one-shot (speculative prefetch) entries.
+    pub cache_one_shot_hits: u64,
+    /// Entries of either layer discarded because the consuming request's
+    /// mediation plan no longer matched.
+    pub cache_stale_discards: u64,
+    /// Cache entries discarded because their freshness TTL had lapsed.
+    pub cache_expired: u64,
+    /// Cache entries evicted by the per-shard LRU capacity bound.
+    pub cache_evictions: u64,
+    /// Responses inserted into the cache (both layers, overwrites included).
+    pub cache_stored: u64,
+    /// Duplicate plan slots served by batch-level single-flight coalescing.
+    pub cache_coalesced: u64,
+    /// Entries currently resident in the response cache (both layers).
+    pub cache_entries: u64,
+    /// One-shot (speculative prefetch) entries currently resident.
+    pub cache_one_shot_entries: u64,
+}
+
+impl FabricCounters {
+    /// Reads the counters of `fabric`.
+    #[must_use]
+    pub fn gather(fabric: &SharedNetwork) -> Self {
+        let read = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let chaos = &fabric.chaos;
+        let cache = &fabric.cache;
+        FabricCounters {
+            log_len: fabric.log_len() as u64,
+            log_capacity: (fabric.stripe_capacity * fabric.stripes.len()) as u64,
+            dropped_log_entries: read(&fabric.dropped),
+            pool_workers: fabric.pool.workers() as u64,
+            pool_jobs_executed: fabric.pool.jobs_executed(),
+            pool_preemptions: 0,
+            fault_injected: read(&chaos.faults_injected),
+            fault_slowdowns: read(&chaos.fault_slowdowns),
+            retry_attempts: read(&chaos.retry_attempts),
+            retry_successes: read(&chaos.retry_successes),
+            retry_deadline_exhausted: read(&chaos.retry_deadline_exhausted),
+            breaker_trips: read(&chaos.breaker_trips),
+            breaker_probes: read(&chaos.breaker_probes),
+            breaker_recoveries: read(&chaos.breaker_recoveries),
+            breaker_fast_fails: read(&chaos.breaker_fast_fails),
+            cache_hits: read(&cache.hits),
+            cache_one_shot_hits: read(&cache.one_shot_hits),
+            cache_stale_discards: read(&cache.stale),
+            cache_expired: read(&cache.expired),
+            cache_evictions: read(&cache.evicted),
+            cache_stored: read(&cache.stored),
+            cache_coalesced: read(&cache.coalesced),
+            cache_entries: cache.len() as u64,
+            cache_one_shot_entries: cache.one_shot_len() as u64,
+        }
     }
 }
 
@@ -697,18 +710,22 @@ mod tests {
     fn log_capacity_drops_oldest_first_and_counts() {
         // One stripe, capacity 8, batch 1: the ninth entry evicts the oldest.
         let net = SharedNetwork::with_log_config(1, 8);
-        assert_eq!(net.log_capacity(), 8);
+        assert_eq!(FabricCounters::gather(&net).log_capacity, 8);
         net.register("http://a.example", echo_server);
         for i in 0..12 {
             get(&net, &format!("http://a.example/{i}")).unwrap();
         }
         assert_eq!(net.log_len(), 8);
-        assert_eq!(net.dropped_log_entries(), 4);
+        assert_eq!(FabricCounters::gather(&net).dropped_log_entries, 4);
         let first = net.log()[0].url.path().to_string();
         assert_eq!(first, "/4", "oldest entries dropped first");
         net.clear_log();
         assert_eq!(net.log_len(), 0);
-        assert_eq!(net.dropped_log_entries(), 4, "drop counter is cumulative");
+        assert_eq!(
+            FabricCounters::gather(&net).dropped_log_entries,
+            4,
+            "drop counter is cumulative"
+        );
     }
 
     #[test]
@@ -755,14 +772,14 @@ mod tests {
         };
         assert!(net.send(page("sid=abc"), speculate()).stored);
         assert_eq!(net.log_len(), 0, "speculative dispatches are unlogged");
-        assert_eq!(net.cache_one_shot_entries(), 1);
+        assert_eq!(FabricCounters::gather(&net).cache_one_shot_entries, 1);
 
         // A different plan (the jar changed since the speculation) discards
         // the entry instead of serving it.
         assert_eq!(net.send(page("sid=zzz"), consume).served, Served::Wire);
-        assert_eq!(net.cache_stale_discards(), 1);
+        assert_eq!(FabricCounters::gather(&net).cache_stale_discards, 1);
         assert_eq!(
-            net.cache_one_shot_entries(),
+            FabricCounters::gather(&net).cache_one_shot_entries,
             0,
             "stale entries are discarded"
         );
@@ -772,10 +789,10 @@ mod tests {
         let hit = net.send(page("sid=abc"), consume);
         assert_eq!(hit.served, Served::OneShot);
         assert_eq!(hit.result.unwrap().body, "GET /page");
-        assert_eq!(net.cache_one_shot_hits(), 1);
+        assert_eq!(FabricCounters::gather(&net).cache_one_shot_hits, 1);
         assert_eq!(net.send(page("sid=abc"), consume).served, Served::Wire);
         assert_eq!(
-            net.cache_stale_discards(),
+            FabricCounters::gather(&net).cache_stale_discards,
             1,
             "a plain miss is not a stale discard"
         );
@@ -791,20 +808,24 @@ mod tests {
             net.send(mediated(&format!("http://a.example/{i}"), ""), speculate());
         }
         assert!(
-            net.cache_one_shot_entries() <= RESPONSE_CACHE_CAPACITY,
+            FabricCounters::gather(&net).cache_one_shot_entries <= RESPONSE_CACHE_CAPACITY as u64,
             "the cache stays within its capacity bound"
         );
         assert_eq!(
-            net.cache_evictions() + net.cache_one_shot_entries() as u64,
+            FabricCounters::gather(&net).cache_evictions
+                + FabricCounters::gather(&net).cache_one_shot_entries,
             stored as u64,
             "every overflow store evicted exactly one entry"
         );
         // Re-storing a URL overwrites in place rather than duplicating or evicting.
         let url = format!("http://a.example/{}", stored - 1);
-        let evictions_before = net.cache_evictions();
+        let evictions_before = FabricCounters::gather(&net).cache_evictions;
         net.send(mediated(&url, "a=1"), speculate());
         net.send(mediated(&url, "a=2"), speculate());
-        assert_eq!(net.cache_evictions(), evictions_before);
+        assert_eq!(
+            FabricCounters::gather(&net).cache_evictions,
+            evictions_before
+        );
         let consume = Dispatch {
             cache: CacheLayers::ONE_SHOT,
             ..Dispatch::default()
@@ -891,11 +912,228 @@ mod tests {
             baseline,
             "faulted dispatches must be excluded from the EWMA"
         );
-        assert_eq!(net.fault_slowdowns(), 10);
-        assert_eq!(net.faults_injected(), 5);
+        assert_eq!(FabricCounters::gather(&net).fault_slowdowns, 10);
+        assert_eq!(FabricCounters::gather(&net).fault_injected, 5);
         // Healing the origin resumes EWMA updates.
         net.clear_fault("http://a.example");
         get(&net, "http://a.example/healed").unwrap();
         assert!(net.estimated_service_ns(&origin) > 0);
+    }
+
+    /// Drives one fabric through every counted event, then checks each
+    /// [`FabricCounters`] field against its expected value. The expected
+    /// values form one full struct literal, so a field wired to the wrong
+    /// atomic shows up as a mismatch, and a new field cannot be left out.
+    #[test]
+    fn gather_reads_every_counter_from_its_own_source() {
+        use crate::fault::{FaultPlan, FetchPolicy};
+        use crate::fetch_pool::{Priority, MAX_POOL_WORKERS};
+        use escudo_core::ManualClock;
+        use std::sync::Barrier;
+
+        const COOLDOWN_NS: u64 = 1_000_000_000;
+        let net = Arc::new(SharedNetwork::with_log_capacity(128));
+        let clock = Arc::new(ManualClock::new());
+        net.set_clock(Arc::<ManualClock>::clone(&clock));
+        for origin in [
+            "http://flaky.example",
+            "http://slow.example",
+            "http://down.example",
+            "http://sick.example",
+            "http://log.example",
+        ] {
+            net.register(origin, echo_server);
+        }
+        net.register("http://cdn.example", |req: &Request| {
+            Response::ok_text(req.url.path().to_string()).with_max_age(60)
+        });
+        let send = |url: &str, how: Dispatch| net.send(Request::get(url).unwrap(), how);
+        let with_policy = |policy: FetchPolicy| Dispatch {
+            policy,
+            ..Dispatch::default()
+        };
+
+        // Faults and retries: 4 + 1 retried timeouts, both sends succeed;
+        // three slowed dispatches; one deadline-refused retry (1ms backoff
+        // against a 2ms deadline, after one granted retry).
+        let retrying = with_policy(FetchPolicy::default().with_max_retries(5));
+        net.inject_fault("http://flaky.example", FaultPlan::new().fail_first(4));
+        assert!(send("http://flaky.example/1", retrying).result.is_ok());
+        net.inject_fault("http://flaky.example", FaultPlan::new().fail_first(1));
+        assert!(send("http://flaky.example/2", retrying).result.is_ok());
+        net.inject_fault("http://slow.example", FaultPlan::new().slow_by(1_000));
+        for i in 0..3 {
+            assert!(
+                send(&format!("http://slow.example/{i}"), Dispatch::default())
+                    .result
+                    .is_ok()
+            );
+        }
+        net.inject_fault("http://down.example", FaultPlan::new().timeout());
+        let bounded = FetchPolicy::default()
+            .with_max_retries(10)
+            .with_backoff_base_ns(1_000_000)
+            .with_deadline_ns(2_000_000);
+        assert!(send("http://down.example/", with_policy(bounded))
+            .result
+            .is_err());
+
+        // Breaker walk: trip, fast fail, failed probe (re-trip), fast fail,
+        // successful probe (recovery), then trip again and fast fail twice.
+        let breaking = with_policy(FetchPolicy::default().with_breaker(3, COOLDOWN_NS));
+        let sick = "http://sick.example/";
+        net.inject_fault("http://sick.example", FaultPlan::new().timeout());
+        for _ in 0..4 {
+            assert!(send(sick, breaking).result.is_err());
+        }
+        clock.advance_ns(COOLDOWN_NS);
+        for _ in 0..2 {
+            assert!(send(sick, breaking).result.is_err());
+        }
+        clock.advance_ns(COOLDOWN_NS);
+        net.clear_fault("http://sick.example");
+        assert!(send(sick, breaking).result.is_ok());
+        net.inject_fault("http://sick.example", FaultPlan::new().timeout());
+        for _ in 0..5 {
+            assert!(send(sick, breaking).result.is_err());
+        }
+        let origin = Origin::parse_url("http://sick.example").unwrap();
+        assert_eq!(net.breaker_phase(&origin), Some(crate::BreakerPhase::Open));
+
+        // Evictions: 130 one-shot entries overflow the 128-entry cache. The
+        // exact split follows the cache's FNV shard selection; the entries
+        // stored below are younger, so they stay resident.
+        for i in 0..130 {
+            net.send(
+                mediated(&format!("http://cdn.example/fill{i}"), ""),
+                speculate(),
+            );
+        }
+
+        // Persistent cache: a store, three hits, a stale discard under a
+        // different mediated header, then two expiries once `max-age` lapses.
+        let cached = Dispatch {
+            cache: CacheLayers::PERSISTENT,
+            ..Dispatch::default()
+        };
+        let with_sid = || mediated("http://cdn.example/a", "sid=x");
+        assert_eq!(send("http://cdn.example/a", cached).served, Served::Wire);
+        for _ in 0..3 {
+            assert_eq!(send("http://cdn.example/a", cached).served, Served::Cache);
+        }
+        assert_eq!(net.send(with_sid(), cached).served, Served::Wire);
+        assert_eq!(send("http://cdn.example/b", cached).served, Served::Wire);
+        clock.advance_ns(61_000_000_000);
+        assert_eq!(send("http://cdn.example/b", cached).served, Served::Wire);
+        assert_eq!(net.send(with_sid(), cached).served, Served::Wire);
+
+        // One-shot layer: three speculations, two consumed.
+        let consume = Dispatch {
+            cache: CacheLayers::ONE_SHOT,
+            ..Dispatch::default()
+        };
+        for page in ["p1", "p2", "p3"] {
+            assert!(
+                net.send(
+                    mediated(&format!("http://cdn.example/{page}"), ""),
+                    speculate()
+                )
+                .stored
+            );
+        }
+        for page in ["p1", "p2"] {
+            assert_eq!(
+                send(&format!("http://cdn.example/{page}"), consume).served,
+                Served::OneShot
+            );
+        }
+
+        // Single-flight: four identical slots, one dispatch, three coalesced.
+        let plan = (0..4)
+            .map(|_| {
+                (
+                    Request::get("http://cdn.example/c").unwrap(),
+                    Priority::Bulk,
+                )
+            })
+            .collect();
+        let outcomes = net.send_plan(plan, cached, 1).join();
+        assert_eq!(
+            outcomes
+                .iter()
+                .filter(|o| o.served == Served::Coalesced)
+                .count(),
+            3
+        );
+
+        // Pool fan-out: two slow origins whose handlers meet at a barrier, so
+        // the plan's one pool ticket and the joining thread each send one.
+        let barrier = Arc::new(Barrier::new(2));
+        for origin in ["http://fan0.example", "http://fan1.example"] {
+            let barrier = Arc::clone(&barrier);
+            net.register(origin, move |req: &Request| {
+                barrier.wait();
+                echo_server(req)
+            });
+            net.set_latency(origin, Duration::from_micros(100));
+        }
+        let plan = ["http://fan0.example/", "http://fan1.example/"]
+            .iter()
+            .map(|url| (Request::get(url).unwrap(), Priority::Navigation))
+            .collect();
+        let outcomes = net.send_plan(plan, Dispatch::default(), 2).join();
+        assert!(outcomes.iter().all(|o| o.result.is_ok()));
+        // The worker adds its tally just after completing its slot.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while FabricCounters::gather(&net).pool_jobs_executed == 0
+            && std::time::Instant::now() < deadline
+        {
+            std::thread::yield_now();
+        }
+
+        // Log overflow: 136 consecutive sequences put 17 entries in each of
+        // the 8 stripes of 16; the 17th drops the stripe's oldest 2.
+        net.clear_log();
+        for i in 0..136 {
+            assert!(
+                send(&format!("http://log.example/{i}"), Dispatch::default())
+                    .result
+                    .is_ok()
+            );
+        }
+
+        // The first fan-out grows the pool to the machine's parallelism.
+        let pool_workers = std::thread::available_parallelism()
+            .map_or(1, std::num::NonZeroUsize::get)
+            .min(MAX_POOL_WORKERS) as u64;
+        assert_eq!(
+            FabricCounters::gather(&net),
+            FabricCounters {
+                log_len: 120,
+                log_capacity: 128,
+                dropped_log_entries: 16,
+                pool_workers,
+                pool_jobs_executed: 1,
+                pool_preemptions: 0,
+                fault_injected: 14,
+                fault_slowdowns: 3,
+                retry_attempts: 6,
+                retry_successes: 2,
+                retry_deadline_exhausted: 1,
+                breaker_trips: 3,
+                breaker_probes: 2,
+                breaker_recoveries: 1,
+                breaker_fast_fails: 4,
+                cache_hits: 3,
+                cache_one_shot_hits: 2,
+                cache_stale_discards: 1,
+                cache_expired: 2,
+                cache_evictions: 107,
+                cache_stored: 139,
+                cache_coalesced: 3,
+                cache_entries: 27,
+                cache_one_shot_entries: 24,
+            }
+        );
     }
 }

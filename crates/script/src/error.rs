@@ -4,6 +4,7 @@ use std::error::Error;
 use std::fmt;
 
 use crate::host::HostError;
+use crate::interp::MAX_CALL_DEPTH;
 
 /// Errors produced while lexing, parsing or executing a script.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,6 +31,8 @@ pub enum ScriptError {
     HostFailure(String),
     /// The script exceeded the interpreter's step budget.
     StepLimitExceeded,
+    /// The script nested more function calls than [`MAX_CALL_DEPTH`].
+    CallDepthExceeded,
 }
 
 impl fmt::Display for ScriptError {
@@ -45,6 +48,12 @@ impl fmt::Display for ScriptError {
             ScriptError::AccessDenied(message) => write!(f, "access denied: {message}"),
             ScriptError::HostFailure(message) => write!(f, "host error: {message}"),
             ScriptError::StepLimitExceeded => write!(f, "script exceeded its step budget"),
+            ScriptError::CallDepthExceeded => {
+                write!(
+                    f,
+                    "script exceeded the call depth bound of {MAX_CALL_DEPTH}"
+                )
+            }
         }
     }
 }

@@ -11,6 +11,15 @@ use crate::value::{Callable, NativeFn, NativeTag, Obj, ObjId, Value};
 /// Default number of evaluation steps a script may take before it is aborted.
 pub const DEFAULT_STEP_LIMIT: u64 = 2_000_000;
 
+/// Bound on nested user-function calls. The interpreter walks the tree
+/// recursively, so each JS call costs several Rust frames; the step budget does
+/// not bound that, and `function f(n){ return f(n+1); }` would otherwise abort
+/// the whole process with a stack overflow. In the debug profile one call level
+/// costs about 14 KiB of stack, or about 40 KiB when its `return` nests three
+/// operators around the call, so 32 levels stay well inside a 2 MiB thread
+/// stack.
+pub const MAX_CALL_DEPTH: usize = 32;
+
 #[derive(Debug)]
 struct Scope {
     vars: HashMap<String, Value>,
@@ -32,6 +41,8 @@ pub struct Interpreter<'h> {
     heap: Vec<Obj>,
     scopes: Vec<Scope>,
     steps_remaining: u64,
+    /// User-function calls currently on the interpreter's stack.
+    call_depth: usize,
     /// Value of the most recent expression statement; `run` returns it so callers and
     /// tests can observe a script's "result" without a return statement.
     last_expression_value: Option<Value>,
@@ -58,6 +69,7 @@ impl<'h> Interpreter<'h> {
                 parent: None,
             }],
             steps_remaining: DEFAULT_STEP_LIMIT,
+            call_depth: 0,
             last_expression_value: None,
         };
         interp.install_globals();
@@ -607,6 +619,9 @@ impl<'h> Interpreter<'h> {
                 body,
                 scope,
             } => {
+                if self.call_depth >= MAX_CALL_DEPTH {
+                    return Err(ScriptError::CallDepthExceeded);
+                }
                 let call_scope = self.scopes.len();
                 self.scopes.push(Scope {
                     vars: HashMap::new(),
@@ -617,11 +632,13 @@ impl<'h> Interpreter<'h> {
                     self.declare(call_scope, param, value);
                 }
                 self.declare(call_scope, "this", this);
-                let result = match self.exec_block(&body, call_scope)? {
+                self.call_depth += 1;
+                let flow = self.exec_block(&body, call_scope);
+                self.call_depth -= 1;
+                Ok(match flow? {
                     Flow::Return(value) => value,
                     _ => Value::Undefined,
-                };
-                Ok(result)
+                })
             }
             Callable::Native(native) => self.call_native(native, id, this, args),
         }
@@ -1231,6 +1248,33 @@ mod tests {
             .run("while (true) { var x = 1; }")
             .unwrap_err();
         assert_eq!(err, ScriptError::StepLimitExceeded);
+    }
+
+    #[test]
+    fn a_recursion_bomb_fails_closed_instead_of_overflowing_the_stack() {
+        // An explicit 2 MiB stack, the size test and worker threads get by
+        // default: without the call-depth bound this aborts the process.
+        let outcome = std::thread::Builder::new()
+            .stack_size(2 * 1024 * 1024)
+            .spawn(|| {
+                let mut host = MockHost::new();
+                let mut interp = Interpreter::new(&mut host);
+                let bomb = interp.run("function f(n) { return f(n + 1); } f(0);");
+                let wide = interp.run("function g(n) { return 1 + (n * (2 - g(n + 1))); } g(0);");
+                // The depth counter unwinds with the error: the same
+                // interpreter still runs recursion up to the bound.
+                let bounded = interp.run(&format!(
+                    "function h(n) {{ if (n == 0) {{ return 0; }} return 1 + h(n - 1); }} h({});",
+                    MAX_CALL_DEPTH - 1
+                ));
+                (bomb, wide, bounded)
+            })
+            .expect("spawn test thread")
+            .join()
+            .expect("the bomb must not take the thread down");
+        assert_eq!(outcome.0, Err(ScriptError::CallDepthExceeded));
+        assert_eq!(outcome.1, Err(ScriptError::CallDepthExceeded));
+        assert_eq!(outcome.2, Ok(Value::Number((MAX_CALL_DEPTH - 1) as f64)));
     }
 
     #[test]

@@ -24,8 +24,8 @@ use std::time::Duration;
 use escudo::browser::{Browser, PolicyMode};
 use escudo::core::ManualClock;
 use escudo::net::{
-    BreakerPhase, Dispatch, FaultPlan, FetchPolicy, NetError, Outcome, Priority, Request, Response,
-    Sequence, SharedNetwork,
+    BreakerPhase, Dispatch, FabricCounters, FaultPlan, FetchPolicy, NetError, Outcome, Priority,
+    Request, Response, Sequence, SharedNetwork,
 };
 use escudo_bench::fault::{run_breaker_drill, run_retry_oracle};
 use escudo_bench::loader::register_loader_world;
@@ -79,26 +79,29 @@ fn the_breaker_walks_its_phases_on_a_manual_clock() {
     assert_eq!(fabric.breaker_phase(&origin), Some(BreakerPhase::Closed));
     assert!(send().is_err());
     assert_eq!(fabric.breaker_phase(&origin), Some(BreakerPhase::Open));
-    assert_eq!(fabric.breaker_trips(), 1);
+    assert_eq!(FabricCounters::gather(&fabric).breaker_trips, 1);
 
     // Open: fail fast with the remaining cooldown, without dispatching.
-    let faults_before = fabric.faults_injected();
+    let faults_before = FabricCounters::gather(&fabric).fault_injected;
     match send() {
         Err(NetError::CircuitOpen { cooldown_ns, .. }) => {
             assert_eq!(cooldown_ns, 500_000_000);
         }
         other => panic!("expected CircuitOpen, got {other:?}"),
     }
-    assert_eq!(fabric.faults_injected(), faults_before);
-    assert_eq!(fabric.breaker_fast_fails(), 1);
+    assert_eq!(
+        FabricCounters::gather(&fabric).fault_injected,
+        faults_before
+    );
+    assert_eq!(FabricCounters::gather(&fabric).breaker_fast_fails, 1);
 
     // Cooldown elapses on the manual clock; the healed probe re-closes it.
     clock.advance(Duration::from_millis(500));
     fabric.clear_fault("http://api.example");
     assert!(send().is_ok());
     assert_eq!(fabric.breaker_phase(&origin), Some(BreakerPhase::Closed));
-    assert_eq!(fabric.breaker_probes(), 1);
-    assert_eq!(fabric.breaker_recoveries(), 1);
+    assert_eq!(FabricCounters::gather(&fabric).breaker_probes, 1);
+    assert_eq!(FabricCounters::gather(&fabric).breaker_recoveries, 1);
 
     // The full drill (including a failed probe's re-open and the deadline
     // arithmetic) lands on its exact constants.

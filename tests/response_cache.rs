@@ -39,7 +39,8 @@ use escudo::browser::Browser;
 use escudo::core::config::CookiePolicy;
 use escudo::core::{engine_for_mode, Acl, PolicyMode, Ring};
 use escudo::net::{
-    FaultPlan, FetchPolicy, Request, Response, SetCookie, SharedCookieJar, SharedNetwork,
+    FabricCounters, FaultPlan, FetchPolicy, Request, Response, SetCookie, SharedCookieJar,
+    SharedNetwork,
 };
 use escudo_bench::cache::{
     register_cache_world, run_cache_single_flight, run_cache_ttl_walk, CACHE_WORLD_SUBRESOURCES,
@@ -136,7 +137,7 @@ fn sessions_with_different_cookie_headers_never_share_entries() {
     assert_eq!(bob.page(page).text_of("who").unwrap(), "sid=bob");
     assert_eq!(bob.cache_hits(), 0, "Bob must not hit Alice's entry");
     assert_eq!(
-        fabric.cache_stale_discards(),
+        FabricCounters::gather(&fabric).cache_stale_discards,
         1,
         "Alice's entry is discarded fail-closed, not served"
     );
@@ -149,7 +150,7 @@ fn sessions_with_different_cookie_headers_never_share_entries() {
     let page = alice.navigate("http://portal.example/page.php").unwrap();
     assert_eq!(alice.page(page).text_of("who").unwrap(), "sid=alice");
     assert_eq!(alice.cache_hits(), 0);
-    assert_eq!(fabric.cache_stale_discards(), 2);
+    assert_eq!(FabricCounters::gather(&fabric).cache_stale_discards, 2);
 }
 
 #[test]
@@ -187,8 +188,8 @@ fn no_store_and_unmarked_responses_are_never_persisted() {
         "every load refetched"
     );
     assert_eq!(browser.cache_hits(), 0);
-    assert_eq!(fabric.cache_stored(), 0);
-    assert_eq!(fabric.cache_entries(), 0);
+    assert_eq!(FabricCounters::gather(&fabric).cache_stored, 0);
+    assert_eq!(FabricCounters::gather(&fabric).cache_entries, 0);
 }
 
 #[test]
@@ -262,7 +263,7 @@ fn a_script_and_an_image_of_one_url_single_flight_across_lanes() {
         1,
         "one origin fetch for both lanes"
     );
-    assert_eq!(fabric.cache_coalesced(), 1);
+    assert_eq!(FabricCounters::gather(&fabric).cache_coalesced, 1);
 
     // The page, then one entry per slot in plan order, each with the cookie.
     let log = fabric.log();
@@ -302,11 +303,11 @@ fn set_cookie_responses_are_never_shared_across_sessions() {
     second.navigate("http://acct.example/page.php").unwrap();
 
     assert_eq!(
-        fabric.cache_stored(),
+        FabricCounters::gather(&fabric).cache_stored,
         0,
         "a Set-Cookie response must never be admitted"
     );
-    assert_eq!(fabric.cache_entries(), 0);
+    assert_eq!(FabricCounters::gather(&fabric).cache_entries, 0);
     assert_eq!(second.cache_hits(), 0, "the second session fetched live");
 
     // Each session holds the token its own live response minted.
@@ -344,7 +345,7 @@ fn a_prefetch_only_session_never_consumes_a_persistent_entry() {
     // A cache-enabled session stores the persistent entry.
     let mut cacher = cache_browser(&fabric, true);
     cacher.navigate("http://news.example/page.php").unwrap();
-    assert_eq!(fabric.cache_stored(), 1);
+    assert_eq!(FabricCounters::gather(&fabric).cache_stored, 1);
 
     // A session that opted into speculation only (cache off) looks up with
     // the one-shot layer alone: the persistent entry is neither served nor
@@ -379,7 +380,7 @@ fn a_cache_only_session_never_consumes_a_one_shot_entry() {
     let mut speculator = cache_browser(&fabric, false);
     speculator.set_prefetch_enabled(true);
     assert!(speculator.prefetch("http://feed.example/next.php"));
-    assert_eq!(fabric.cache_one_shot_entries(), 1);
+    assert_eq!(FabricCounters::gather(&fabric).cache_one_shot_entries, 1);
 
     // A cache-only session looks up with the persistent layer alone: the
     // one-shot entry is left in place and the navigation dispatches live.
@@ -387,9 +388,9 @@ fn a_cache_only_session_never_consumes_a_one_shot_entry() {
     cache_only.navigate("http://feed.example/next.php").unwrap();
     assert_eq!(cache_only.cache_hits(), 0);
     assert_eq!(cache_only.prefetch_hits(), 0);
-    assert_eq!(fabric.cache_one_shot_hits(), 0);
+    assert_eq!(FabricCounters::gather(&fabric).cache_one_shot_hits, 0);
     assert_eq!(
-        fabric.cache_one_shot_entries(),
+        FabricCounters::gather(&fabric).cache_one_shot_entries,
         1,
         "the speculative entry must survive a cache-only lookup"
     );
@@ -398,7 +399,7 @@ fn a_cache_only_session_never_consumes_a_one_shot_entry() {
     // The speculating session's own navigation consumes it as planned.
     speculator.navigate("http://feed.example/next.php").unwrap();
     assert_eq!(speculator.prefetch_hits(), 1);
-    assert_eq!(fabric.cache_one_shot_entries(), 0);
+    assert_eq!(FabricCounters::gather(&fabric).cache_one_shot_entries, 0);
     assert_eq!(dispatches.load(Ordering::Relaxed), 2);
 }
 
