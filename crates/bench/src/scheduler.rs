@@ -300,8 +300,8 @@ impl PrefetchSpeedupReport {
 }
 
 /// Loads hub-then-item `passes` times on two identically-built fabrics with
-/// `latency` per-origin service time — once with speculation disabled, once
-/// enabled — and times the item navigation only. With the hub's `rel=prefetch`
+/// `latency` per-origin service time — one browser with speculation disabled,
+/// one enabled, alternating pass by pass — and times the item navigation only. With the hub's `rel=prefetch`
 /// hint honoured, the enabled side's item document comes out of the prefetch
 /// cache and never pays the origin latency.
 ///
@@ -310,37 +310,38 @@ impl PrefetchSpeedupReport {
 /// Panics if a page load fails.
 #[must_use]
 pub fn run_prefetch_speedup(latency: Duration, passes: usize) -> PrefetchSpeedupReport {
-    let run = |enabled: bool| -> (f64, u64) {
+    let browser = |enabled: bool| {
         let fabric = Arc::new(SharedNetwork::new());
         register_prefetch_world(&fabric, "shop.example", "sid", latency);
         let engine = engine_for_mode(PolicyMode::Escudo);
         let jar = Arc::new(SharedCookieJar::new());
         let mut browser = Browser::with_network(engine, jar, fabric);
         browser.set_prefetch_enabled(enabled);
-        let mut total_ns = 0u128;
-        for _ in 0..passes {
-            browser
-                .navigate("http://shop.example/hub.php")
-                .expect("hub page load");
-            let start = Instant::now();
-            browser
-                .navigate("http://shop.example/item.php")
-                .expect("item page load");
-            total_ns += start.elapsed().as_nanos();
-        }
-        (
-            total_ns as f64 / passes.max(1) as f64,
-            browser.prefetch_hits(),
-        )
+        browser
     };
-
-    let (cold_ns, _) = run(false);
-    let (warm_ns, hits) = run(true);
+    let item_ns = |browser: &mut Browser| {
+        browser
+            .navigate("http://shop.example/hub.php")
+            .expect("hub page load");
+        let start = Instant::now();
+        browser
+            .navigate("http://shop.example/item.php")
+            .expect("item page load");
+        start.elapsed().as_nanos()
+    };
+    let (mut cold, mut warm) = (browser(false), browser(true));
+    let (mut cold_ns, mut warm_ns) = (0u128, 0u128);
+    // Alternating the sides lets host noise land on both alike.
+    for _ in 0..passes {
+        cold_ns += item_ns(&mut cold);
+        warm_ns += item_ns(&mut warm);
+    }
+    let per_pass = |total_ns: u128| total_ns as f64 / passes.max(1) as f64;
     PrefetchSpeedupReport {
         passes,
-        cold_ns,
-        warm_ns,
-        hits,
+        cold_ns: per_pass(cold_ns),
+        warm_ns: per_pass(warm_ns),
+        hits: warm.prefetch_hits(),
     }
 }
 

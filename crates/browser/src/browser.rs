@@ -1159,6 +1159,40 @@ mod tests {
     }
 
     #[test]
+    fn a_deeply_nested_page_loads_renders_and_serializes() {
+        const DEPTH: usize = 64 * 1024;
+        let html = format!(
+            "<html><body ring=1>{}x{}</body></html>",
+            "<div>".repeat(DEPTH),
+            "</div>".repeat(DEPTH)
+        );
+        // An explicit 2 MiB stack, the default for test and worker threads: parse,
+        // label, render and serialization must not recurse once per level.
+        std::thread::Builder::new()
+            .stack_size(2 * 1024 * 1024)
+            .spawn(move || {
+                let mut browser = browser_with(PolicyMode::Escudo, &html);
+                let page = browser.navigate("http://app.example/").unwrap();
+                let page = browser.page(page);
+                // html, body, every div and the one text run.
+                assert_eq!(page.render_stats.boxes, DEPTH + 3);
+                let body = page.document.elements_by_tag_name("body")[0];
+                let markup = page.document.outer_html(body);
+                assert_eq!(
+                    markup,
+                    format!(
+                        "<body ring=\"1\">{}x{}</body>",
+                        "<div>".repeat(DEPTH),
+                        "</div>".repeat(DEPTH)
+                    )
+                );
+            })
+            .expect("spawn test thread")
+            .join()
+            .expect("a deep page must not take the thread down");
+    }
+
+    #[test]
     fn low_ring_script_cannot_modify_high_ring_region() {
         let html = r#"<html><body ring=1 r=1 w=1 x=1>
             <div ring=1 r=1 w=1 x=1 id=post>Original</div>

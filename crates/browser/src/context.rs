@@ -16,7 +16,9 @@ use escudo_dom::NodeId;
 #[derive(Debug, Clone)]
 pub struct SecurityContextTable {
     origin: Origin,
-    node_labels: HashMap<NodeId, ResolvedLabel>,
+    /// Node labels indexed by [`NodeId::index`] (arena ids are dense, so the
+    /// vector has few holes and a lookup hashes nothing).
+    node_labels: Vec<Option<ResolvedLabel>>,
     cookie_policies: Vec<CookiePolicy>,
     api_rings: HashMap<NativeApi, Ring>,
     /// The label applied to content that carries no configuration at all (legacy pages
@@ -45,7 +47,7 @@ impl SecurityContextTable {
         };
         SecurityContextTable {
             origin,
-            node_labels: HashMap::new(),
+            node_labels: Vec::new(),
             cookie_policies: Vec::new(),
             api_rings: HashMap::new(),
             default_label,
@@ -66,7 +68,11 @@ impl SecurityContextTable {
 
     /// Records the label of a node (done exactly once, at parse/creation time).
     pub fn set_node_label(&mut self, node: NodeId, label: ResolvedLabel) {
-        self.node_labels.insert(node, label);
+        let index = node.index();
+        if index >= self.node_labels.len() {
+            self.node_labels.resize(index + 1, None);
+        }
+        self.node_labels[index] = Some(label);
     }
 
     /// The label of a node (falling back to the page default for unlabeled nodes, e.g.
@@ -74,15 +80,16 @@ impl SecurityContextTable {
     #[must_use]
     pub fn node_label(&self, node: NodeId) -> ResolvedLabel {
         self.node_labels
-            .get(&node)
+            .get(node.index())
             .copied()
+            .flatten()
             .unwrap_or(self.default_label)
     }
 
     /// Number of labelled nodes.
     #[must_use]
     pub fn labelled_nodes(&self) -> usize {
-        self.node_labels.len()
+        self.node_labels.iter().flatten().count()
     }
 
     /// Adds a cookie policy received via the `X-Escudo-Cookie-Policy` header.

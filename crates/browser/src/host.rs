@@ -11,6 +11,7 @@ use std::sync::Arc;
 
 use escudo_core::config::{NativeApi, AC_ATTRIBUTES};
 use escudo_core::{Operation, PolicyMode, PrincipalContext};
+use escudo_dom::serialize::is_void_element;
 use escudo_dom::{Document, NodeId};
 use escudo_html::{Token, Tokenizer};
 use escudo_net::{Dispatch, Method, Request, SetCookie, SharedCookieJar, SharedNetwork, Url};
@@ -137,7 +138,7 @@ impl<'a> BrowserHost<'a> {
                 Token::Eof => break,
                 Token::Doctype(_) => {}
                 Token::Comment(text) => {
-                    let node = self.document.create_comment(&text);
+                    let node = self.document.create_comment(text);
                     let top = *stack.last().expect("fragment stack is never empty");
                     let _ = self.document.append_child(top, node);
                 }
@@ -145,7 +146,7 @@ impl<'a> BrowserHost<'a> {
                     if text.is_empty() {
                         continue;
                     }
-                    let node = self.document.create_text(&text);
+                    let node = self.document.create_text(text);
                     let top = *stack.last().expect("fragment stack is never empty");
                     let _ = self.document.append_child(top, node);
                 }
@@ -154,33 +155,14 @@ impl<'a> BrowserHost<'a> {
                     attrs,
                     self_closing,
                 } => {
-                    let node = self.document.create_element(&name);
-                    for (attr_name, value) in &attrs {
-                        self.document.set_attribute(node, attr_name, value);
-                    }
+                    let opens = !self_closing && !is_void_element(&name);
+                    let node = self.document.create_element_from_parts(name, attrs);
                     let top = *stack.last().expect("fragment stack is never empty");
                     let _ = self.document.append_child(top, node);
                     if top == parent {
                         created_roots.push(node);
                     }
-                    let is_void = matches!(
-                        name.as_str(),
-                        "area"
-                            | "base"
-                            | "br"
-                            | "col"
-                            | "embed"
-                            | "hr"
-                            | "img"
-                            | "input"
-                            | "link"
-                            | "meta"
-                            | "param"
-                            | "source"
-                            | "track"
-                            | "wbr"
-                    );
-                    if !self_closing && !is_void {
+                    if opens {
                         stack.push(node);
                     }
                 }

@@ -75,7 +75,7 @@ impl PageLoader {
                 let has_header_config =
                     !response.cookie_policies().is_empty() || !response.api_policies().is_empty();
                 // Cheap scan: an AC tag declares at least one of ring/r/w/x.
-                let has_ac_tags = document.all_elements().iter().any(|&node| {
+                let has_ac_tags = document.descendants(document.root()).any(|node| {
                     document
                         .attributes(node)
                         .iter()

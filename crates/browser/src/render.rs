@@ -72,96 +72,112 @@ impl Renderer {
     }
 
     /// Lays out the document and returns the display list plus statistics.
+    ///
+    /// The walk is iterative, with an explicit stack of open containers, so nesting
+    /// depth is bounded by memory rather than the thread's stack. Boxes come out in
+    /// post-order: a text box when its run is laid out, a container's box after all
+    /// of its children.
     #[must_use]
     pub fn layout(&self, document: &Document) -> (Vec<LayoutBox>, RenderStats) {
         let mut boxes = Vec::new();
         let mut stats = RenderStats::default();
-        let height = self.layout_node(
-            document,
-            document.root(),
-            0,
-            0,
-            self.viewport_width,
-            &mut boxes,
-            &mut stats,
-        );
-        stats.boxes = boxes.len();
-        stats.height = height;
-        (boxes, stats)
-    }
-
-    /// Lays out a node at (x, y) within `width`; returns the height consumed.
-    #[allow(clippy::too_many_arguments)]
-    fn layout_node(
-        &self,
-        document: &Document,
-        node: NodeId,
-        x: u32,
-        y: u32,
-        width: u32,
-        boxes: &mut Vec<LayoutBox>,
-        stats: &mut RenderStats,
-    ) -> u32 {
-        match document.data(node) {
-            NodeData::Document => {
-                let mut cursor = y;
-                for child in document.children(node) {
-                    cursor += self.layout_node(document, child, x, cursor, width, boxes, stats);
+        let root = document.root();
+        // The document is a container without padding or a box of its own. The
+        // capacity covers common nesting depths without regrowing.
+        let mut open = Vec::with_capacity(32);
+        open.push(Container {
+            node: root,
+            x: 0,
+            y: 0,
+            width: self.viewport_width,
+            padding: 0,
+            next_child: document.first_child(root),
+            cursor: 0,
+        });
+        while let Some(top) = open.last_mut() {
+            let Some(child) = top.next_child else {
+                let done = open.pop().expect("the stack has a top");
+                let height = (done.cursor + done.padding) - done.y;
+                if done.node != root {
+                    boxes.push(LayoutBox {
+                        node: done.node.index(),
+                        x: done.x,
+                        y: done.y,
+                        width: done.width,
+                        height,
+                        lines: 0,
+                    });
                 }
-                cursor - y
-            }
-            NodeData::Doctype(_) | NodeData::Comment(_) => 0,
-            NodeData::Text(text) => {
-                let trimmed = text.trim();
-                if trimmed.is_empty() {
-                    return 0;
+                match open.last_mut() {
+                    Some(parent) => parent.cursor += height,
+                    None => stats.height = height,
                 }
-                let chars = trimmed.chars().count();
-                let per_line = (width / CHAR_WIDTH).max(1) as usize;
-                let lines = chars.div_ceil(per_line) as u32;
-                stats.lines += lines as usize;
-                stats.characters += chars;
-                let height = lines * LINE_HEIGHT;
-                boxes.push(LayoutBox {
-                    node: node.index(),
-                    x,
-                    y,
-                    width,
-                    height,
-                    lines,
-                });
-                height
-            }
-            NodeData::Element(element) => {
-                if INVISIBLE.iter().any(|t| *t == element.tag) {
-                    return 0;
+                continue;
+            };
+            top.next_child = document.next_sibling(child);
+            let (x, y) = (top.x + top.padding, top.cursor);
+            let width = if top.node == root {
+                top.width
+            } else {
+                top.width.saturating_sub(2 * BLOCK_PADDING).max(CHAR_WIDTH)
+            };
+            match document.data(child) {
+                NodeData::Document | NodeData::Doctype(_) | NodeData::Comment(_) => {}
+                NodeData::Text(text) => {
+                    let trimmed = text.trim();
+                    if trimmed.is_empty() {
+                        continue;
+                    }
+                    let chars = trimmed.chars().count();
+                    let per_line = (width / CHAR_WIDTH).max(1) as usize;
+                    let lines = chars.div_ceil(per_line) as u32;
+                    stats.lines += lines as usize;
+                    stats.characters += chars;
+                    let height = lines * LINE_HEIGHT;
+                    top.cursor += height;
+                    boxes.push(LayoutBox {
+                        node: child.index(),
+                        x,
+                        y,
+                        width,
+                        height,
+                        lines,
+                    });
                 }
-                let inner_width = width.saturating_sub(2 * BLOCK_PADDING).max(CHAR_WIDTH);
-                let mut cursor = y + BLOCK_PADDING;
-                for child in document.children(node) {
-                    cursor += self.layout_node(
-                        document,
-                        child,
-                        x + BLOCK_PADDING,
-                        cursor,
-                        inner_width,
-                        boxes,
-                        stats,
-                    );
+                NodeData::Element(element) => {
+                    if INVISIBLE.iter().any(|t| *t == element.tag) {
+                        continue;
+                    }
+                    open.push(Container {
+                        node: child,
+                        x,
+                        y,
+                        width,
+                        padding: BLOCK_PADDING,
+                        next_child: document.first_child(child),
+                        cursor: y + BLOCK_PADDING,
+                    });
                 }
-                let height = (cursor + BLOCK_PADDING) - y;
-                boxes.push(LayoutBox {
-                    node: node.index(),
-                    x,
-                    y,
-                    width,
-                    height,
-                    lines: 0,
-                });
-                height
             }
         }
+        stats.boxes = boxes.len();
+        (boxes, stats)
     }
+}
+
+/// A container (the document or a visible element) whose children are being laid
+/// out.
+struct Container {
+    node: NodeId,
+    x: u32,
+    y: u32,
+    width: u32,
+    /// Padding above, below and left of the children (0 for the document).
+    padding: u32,
+    /// The next child to lay out.
+    next_child: Option<NodeId>,
+    /// The y offset of the next child.
+    cursor: u32,
 }
 
 #[cfg(test)]

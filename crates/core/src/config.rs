@@ -59,33 +59,22 @@ impl AcAttributes {
         I: IntoIterator<Item = (&'a str, S)>,
         S: AsRef<str>,
     {
+        let acl_bound = |value: &str| -> Result<Option<Ring>, ConfigError> {
+            value
+                .parse()
+                .map(Some)
+                .map_err(|_| ConfigError::InvalidAcl(value.into()))
+        };
         let mut out = AcAttributes::default();
         for (name, value) in attributes {
             let value = value.as_ref();
-            match name.to_ascii_lowercase().as_str() {
-                "ring" => out.ring = Some(value.parse()?),
-                "r" => {
-                    out.read = Some(
-                        value
-                            .parse()
-                            .map_err(|_| ConfigError::InvalidAcl(value.into()))?,
-                    )
-                }
-                "w" => {
-                    out.write = Some(
-                        value
-                            .parse()
-                            .map_err(|_| ConfigError::InvalidAcl(value.into()))?,
-                    )
-                }
-                "x" => {
-                    out.use_ = Some(
-                        value
-                            .parse()
-                            .map_err(|_| ConfigError::InvalidAcl(value.into()))?,
-                    )
-                }
-                "nonce" => out.nonce = Some(value.parse()?),
+            // Names match ASCII case-insensitively, without a lower-cased copy.
+            match name.as_bytes() {
+                [r] if r.eq_ignore_ascii_case(&b'r') => out.read = acl_bound(value)?,
+                [w] if w.eq_ignore_ascii_case(&b'w') => out.write = acl_bound(value)?,
+                [x] if x.eq_ignore_ascii_case(&b'x') => out.use_ = acl_bound(value)?,
+                _ if name.eq_ignore_ascii_case("ring") => out.ring = Some(value.parse()?),
+                _ if name.eq_ignore_ascii_case("nonce") => out.nonce = Some(value.parse()?),
                 _ => {}
             }
         }
@@ -402,6 +391,27 @@ mod tests {
         let attrs = AcAttributes::parse([("class", "post"), ("id", "main")]).unwrap();
         assert!(!attrs.is_ac_tag());
         assert_eq!(attrs, AcAttributes::default());
+    }
+
+    #[test]
+    fn attribute_names_match_ascii_case_insensitively() {
+        let attrs = AcAttributes::parse([
+            ("RING", "2"),
+            ("R", "1"),
+            ("W", "0"),
+            ("X", "2"),
+            ("NoNcE", "7"),
+            ("rings", "0"),
+            ("xr", "0"),
+        ])
+        .unwrap();
+        assert_eq!(attrs.ring, Some(Ring::new(2)));
+        assert_eq!(
+            attrs.declared_acl(),
+            Some(Acl::new(Ring::new(1), Ring::new(0), Ring::new(2)))
+        );
+        assert_eq!(attrs.nonce, Some(Nonce::from_raw(7)));
+        assert!(AcAttributes::parse([("W", "kernel")]).is_err());
     }
 
     #[test]

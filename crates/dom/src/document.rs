@@ -76,46 +76,59 @@ impl Document {
     /// round-trip node handles through foreign code without exposing arena internals.
     #[must_use]
     pub fn node_id_at(&self, index: usize) -> Option<NodeId> {
-        if index < self.nodes.len() {
-            Some(NodeId(index))
-        } else {
-            None
-        }
+        u32::try_from(index)
+            .ok()
+            .filter(|_| index < self.nodes.len())
+            .map(NodeId)
     }
 
     // ---------------------------------------------------------------- creation
 
     /// Creates a detached element node.
     pub fn create_element(&mut self, tag: &str) -> NodeId {
-        self.push(Node::new(NodeData::Element(ElementData::new(tag))))
+        self.create_element_from_parts(tag.to_string(), Vec::new())
     }
 
-    /// Creates a detached element node with attributes.
+    /// Creates a detached element node from an owned tag name and attribute list
+    /// (the parts of a start tag), moving them into the arena. See
+    /// [`ElementData::from_parts`].
+    pub fn create_element_from_parts(
+        &mut self,
+        tag: String,
+        attrs: Vec<(String, String)>,
+    ) -> NodeId {
+        self.push(Node::new(NodeData::Element(ElementData::from_parts(
+            tag, attrs,
+        ))))
+    }
+
+    /// Creates a detached element node with attributes; a duplicate name keeps its
+    /// first value.
     pub fn create_element_with_attrs(&mut self, tag: &str, attrs: &[(&str, &str)]) -> NodeId {
-        let mut data = ElementData::new(tag);
-        for (name, value) in attrs {
-            data.set_attr(name, value);
-        }
-        self.push(Node::new(NodeData::Element(data)))
+        let attrs = attrs
+            .iter()
+            .map(|&(name, value)| (name.to_string(), value.to_string()))
+            .collect();
+        self.create_element_from_parts(tag.to_string(), attrs)
     }
 
     /// Creates a detached text node.
-    pub fn create_text(&mut self, text: &str) -> NodeId {
-        self.push(Node::new(NodeData::Text(text.to_string())))
+    pub fn create_text(&mut self, text: impl Into<String>) -> NodeId {
+        self.push(Node::new(NodeData::Text(text.into())))
     }
 
     /// Creates a detached comment node.
-    pub fn create_comment(&mut self, text: &str) -> NodeId {
-        self.push(Node::new(NodeData::Comment(text.to_string())))
+    pub fn create_comment(&mut self, text: impl Into<String>) -> NodeId {
+        self.push(Node::new(NodeData::Comment(text.into())))
     }
 
     /// Creates a doctype node.
-    pub fn create_doctype(&mut self, name: &str) -> NodeId {
-        self.push(Node::new(NodeData::Doctype(name.to_string())))
+    pub fn create_doctype(&mut self, name: impl Into<String>) -> NodeId {
+        self.push(Node::new(NodeData::Doctype(name.into())))
     }
 
     fn push(&mut self, node: Node) -> NodeId {
-        let id = NodeId(self.nodes.len());
+        let id = NodeId(u32::try_from(self.nodes.len()).expect("fewer than 2^32 nodes"));
         self.nodes.push(node);
         id
     }
@@ -125,7 +138,7 @@ impl Document {
     /// The payload of a node.
     #[must_use]
     pub fn data(&self, id: NodeId) -> &NodeData {
-        &self.nodes[id.0].data
+        &self.nodes[id.index()].data
     }
 
     /// The element payload, when `id` is an element.
@@ -163,14 +176,14 @@ impl Document {
 
     /// Sets an attribute on an element node. Ignored for non-element nodes.
     pub fn set_attribute(&mut self, id: NodeId, name: &str, value: &str) {
-        if let NodeData::Element(e) = &mut self.nodes[id.0].data {
+        if let NodeData::Element(e) = &mut self.nodes[id.index()].data {
             e.set_attr(name, value);
         }
     }
 
     /// Removes an attribute. Returns `true` when the attribute existed.
     pub fn remove_attribute(&mut self, id: NodeId, name: &str) -> bool {
-        if let NodeData::Element(e) = &mut self.nodes[id.0].data {
+        if let NodeData::Element(e) = &mut self.nodes[id.index()].data {
             e.remove_attr(name)
         } else {
             false
@@ -179,7 +192,7 @@ impl Document {
 
     /// Replaces the text of a text node. Ignored for other node kinds.
     pub fn set_text(&mut self, id: NodeId, text: &str) {
-        if let NodeData::Text(t) = &mut self.nodes[id.0].data {
+        if let NodeData::Text(t) = &mut self.nodes[id.index()].data {
             *t = text.to_string();
         }
     }
@@ -189,31 +202,31 @@ impl Document {
     /// The parent of a node, if attached.
     #[must_use]
     pub fn parent(&self, id: NodeId) -> Option<NodeId> {
-        self.nodes[id.0].parent
+        self.nodes[id.index()].parent
     }
 
     /// The first child of a node.
     #[must_use]
     pub fn first_child(&self, id: NodeId) -> Option<NodeId> {
-        self.nodes[id.0].first_child
+        self.nodes[id.index()].first_child
     }
 
     /// The last child of a node.
     #[must_use]
     pub fn last_child(&self, id: NodeId) -> Option<NodeId> {
-        self.nodes[id.0].last_child
+        self.nodes[id.index()].last_child
     }
 
     /// The next sibling of a node.
     #[must_use]
     pub fn next_sibling(&self, id: NodeId) -> Option<NodeId> {
-        self.nodes[id.0].next_sibling
+        self.nodes[id.index()].next_sibling
     }
 
     /// The previous sibling of a node.
     #[must_use]
     pub fn prev_sibling(&self, id: NodeId) -> Option<NodeId> {
-        self.nodes[id.0].prev_sibling
+        self.nodes[id.index()].prev_sibling
     }
 
     /// Iterator over the direct children of a node.
@@ -260,15 +273,15 @@ impl Document {
     pub fn append_child(&mut self, parent: NodeId, child: NodeId) -> Result<(), DomError> {
         self.check_insertable(parent, child)?;
         self.detach(child);
-        let last = self.nodes[parent.0].last_child;
-        self.nodes[child.0].parent = Some(parent);
-        self.nodes[child.0].prev_sibling = last;
-        self.nodes[child.0].next_sibling = None;
+        let last = self.nodes[parent.index()].last_child;
+        self.nodes[child.index()].parent = Some(parent);
+        self.nodes[child.index()].prev_sibling = last;
+        self.nodes[child.index()].next_sibling = None;
         match last {
-            Some(last) => self.nodes[last.0].next_sibling = Some(child),
-            None => self.nodes[parent.0].first_child = Some(child),
+            Some(last) => self.nodes[last.index()].next_sibling = Some(child),
+            None => self.nodes[parent.index()].first_child = Some(child),
         }
-        self.nodes[parent.0].last_child = Some(child);
+        self.nodes[parent.index()].last_child = Some(child);
         Ok(())
     }
 
@@ -285,18 +298,18 @@ impl Document {
         reference: NodeId,
     ) -> Result<(), DomError> {
         self.check_insertable(parent, child)?;
-        if self.nodes[reference.0].parent != Some(parent) {
+        if self.nodes[reference.index()].parent != Some(parent) {
             return Err(DomError::NotAChild);
         }
         self.detach(child);
-        let prev = self.nodes[reference.0].prev_sibling;
-        self.nodes[child.0].parent = Some(parent);
-        self.nodes[child.0].prev_sibling = prev;
-        self.nodes[child.0].next_sibling = Some(reference);
-        self.nodes[reference.0].prev_sibling = Some(child);
+        let prev = self.nodes[reference.index()].prev_sibling;
+        self.nodes[child.index()].parent = Some(parent);
+        self.nodes[child.index()].prev_sibling = prev;
+        self.nodes[child.index()].next_sibling = Some(reference);
+        self.nodes[reference.index()].prev_sibling = Some(child);
         match prev {
-            Some(prev) => self.nodes[prev.0].next_sibling = Some(child),
-            None => self.nodes[parent.0].first_child = Some(child),
+            Some(prev) => self.nodes[prev.index()].next_sibling = Some(child),
+            None => self.nodes[parent.index()].first_child = Some(child),
         }
         Ok(())
     }
@@ -317,7 +330,7 @@ impl Document {
 
     /// Removes every child of `parent` (used for `innerHTML` assignment).
     pub fn remove_children(&mut self, parent: NodeId) {
-        while let Some(child) = self.nodes[parent.0].first_child {
+        while let Some(child) = self.nodes[parent.index()].first_child {
             self.detach(child);
         }
     }
@@ -330,7 +343,15 @@ impl Document {
             NodeData::Document | NodeData::Element(_) => {}
             _ => return Err(DomError::NotAContainer),
         }
-        if self.is_inclusive_ancestor(child, parent) {
+        // A childless node can only form a cycle with itself, so the ancestor walk
+        // (O(depth)) is needed only when `child` brings a subtree along. Freshly
+        // created nodes never do, which keeps tree building linear in depth.
+        let cycle = if self.nodes[child.index()].first_child.is_none() {
+            child == parent
+        } else {
+            self.is_inclusive_ancestor(child, parent)
+        };
+        if cycle {
             return Err(DomError::WouldCreateCycle);
         }
         Ok(())
@@ -338,20 +359,20 @@ impl Document {
 
     fn detach(&mut self, id: NodeId) {
         let (parent, prev, next) = {
-            let node = &self.nodes[id.0];
+            let node = &self.nodes[id.index()];
             (node.parent, node.prev_sibling, node.next_sibling)
         };
         if let Some(prev) = prev {
-            self.nodes[prev.0].next_sibling = next;
+            self.nodes[prev.index()].next_sibling = next;
         } else if let Some(parent) = parent {
-            self.nodes[parent.0].first_child = next;
+            self.nodes[parent.index()].first_child = next;
         }
         if let Some(next) = next {
-            self.nodes[next.0].prev_sibling = prev;
+            self.nodes[next.index()].prev_sibling = prev;
         } else if let Some(parent) = parent {
-            self.nodes[parent.0].last_child = prev;
+            self.nodes[parent.index()].last_child = prev;
         }
-        let node = &mut self.nodes[id.0];
+        let node = &mut self.nodes[id.index()];
         node.parent = None;
         node.prev_sibling = None;
         node.next_sibling = None;

@@ -30,17 +30,23 @@ impl Iterator for Children<'_> {
 }
 
 /// Pre-order iterator over all descendants of a node, excluding the node itself.
+///
+/// It follows the tree links (first child, next sibling, parent) and allocates
+/// nothing; a full walk crosses each link at most twice.
 #[derive(Debug, Clone)]
 pub struct Descendants<'a> {
     doc: &'a Document,
-    stack: Vec<NodeId>,
+    root: NodeId,
+    next: Option<NodeId>,
 }
 
 impl<'a> Descendants<'a> {
     pub(crate) fn new(doc: &'a Document, root: NodeId) -> Self {
-        let mut stack: Vec<NodeId> = doc.children(root).collect();
-        stack.reverse();
-        Descendants { doc, stack }
+        Descendants {
+            doc,
+            root,
+            next: doc.first_child(root),
+        }
     }
 }
 
@@ -48,11 +54,20 @@ impl Iterator for Descendants<'_> {
     type Item = NodeId;
 
     fn next(&mut self) -> Option<NodeId> {
-        let current = self.stack.pop()?;
-        let children: Vec<NodeId> = self.doc.children(current).collect();
-        for child in children.into_iter().rev() {
-            self.stack.push(child);
-        }
+        let current = self.next?;
+        self.next = self.doc.first_child(current).or_else(|| {
+            // Climb until a node with a next sibling, stopping at the root.
+            let mut node = current;
+            loop {
+                if let Some(sibling) = self.doc.next_sibling(node) {
+                    return Some(sibling);
+                }
+                node = self
+                    .doc
+                    .parent(node)
+                    .filter(|&parent| parent != self.root)?;
+            }
+        });
         Some(current)
     }
 }

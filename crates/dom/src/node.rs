@@ -5,15 +5,16 @@ use std::fmt;
 /// A stable handle to a node inside a [`Document`](crate::Document).
 ///
 /// Ids are indices into the document's arena; slots are never reused, so an id remains
-/// valid (though possibly *detached* from the tree) for the document's lifetime.
+/// valid (though possibly *detached* from the tree) for the document's lifetime. An id
+/// is 32 bits wide, which keeps a node's five tree links at 40 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct NodeId(pub(crate) usize);
+pub struct NodeId(pub(crate) u32);
 
 impl NodeId {
     /// The raw arena index (useful for keying side tables).
     #[must_use]
     pub const fn index(self) -> usize {
-        self.0
+        self.0 as usize
     }
 }
 
@@ -37,10 +38,36 @@ impl ElementData {
     /// Creates an element payload with no attributes.
     #[must_use]
     pub fn new(tag: &str) -> Self {
-        ElementData {
-            tag: tag.to_ascii_lowercase(),
-            attrs: Vec::new(),
+        ElementData::from_parts(tag.to_string(), Vec::new())
+    }
+
+    /// Creates an element payload from owned parts, such as a start tag's name and
+    /// attributes, without copying them. Names are lower-cased in place and a
+    /// duplicate attribute name keeps its first occurrence, so the payload holds
+    /// the same invariant whoever built the parts.
+    #[must_use]
+    pub fn from_parts(mut tag: String, mut attrs: Vec<(String, String)>) -> Self {
+        tag.make_ascii_lowercase();
+        for (name, _) in &mut attrs {
+            name.make_ascii_lowercase();
         }
+        // A 64-bit filter over each name's first byte, last byte and length skips
+        // the comparison with earlier names for a name none of them can equal.
+        let mut seen = 0u64;
+        let mut kept = 0;
+        while kept < attrs.len() {
+            let name = attrs[kept].0.as_bytes();
+            let (first, last) = (name.first().copied(), name.last().copied());
+            let slot = u32::from(first.unwrap_or(0)) * 7 + u32::from(last.unwrap_or(0)) * 3;
+            let bit = 1u64 << ((slot + name.len() as u32) % 64);
+            if seen & bit != 0 && attrs[..kept].iter().any(|(n, _)| *n == attrs[kept].0) {
+                attrs.remove(kept);
+            } else {
+                seen |= bit;
+                kept += 1;
+            }
+        }
+        ElementData { tag, attrs }
     }
 
     /// Looks up an attribute value by (case-insensitive) name.
@@ -152,6 +179,27 @@ mod tests {
         assert_eq!(e.attrs.len(), 1);
         assert!(e.remove_attr("RING"));
         assert!(!e.remove_attr("ring"));
+    }
+
+    #[test]
+    fn owned_parts_are_lower_cased_and_keep_the_first_duplicate() {
+        let e = ElementData::from_parts(
+            "DiV".to_string(),
+            vec![
+                ("RING".into(), "3".into()),
+                ("id".into(), "a".into()),
+                ("Ring".into(), "0".into()),
+                ("ring".into(), "1".into()),
+            ],
+        );
+        assert_eq!(e.tag, "div");
+        assert_eq!(
+            e.attrs,
+            vec![
+                ("ring".to_string(), "3".to_string()),
+                ("id".to_string(), "a".to_string())
+            ]
+        );
     }
 
     #[test]

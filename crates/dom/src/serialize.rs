@@ -77,51 +77,73 @@ impl Document {
         out
     }
 
+    /// Serializes `id` and its subtree onto `out`. Iterative, with an explicit
+    /// stack, so nesting depth is bounded by memory rather than the thread's stack.
     fn write_node(&self, id: NodeId, out: &mut String, raw_text: bool) {
-        match self.data(id) {
-            NodeData::Document => {
-                for child in self.children(id) {
-                    self.write_node(child, out, false);
+        enum Step {
+            /// Serialize a node; a text node is written unescaped when the flag is
+            /// set (its parent is a raw-text element).
+            Open(NodeId, bool),
+            /// Write an element's end tag.
+            Close(NodeId),
+        }
+        let mut stack = vec![Step::Open(id, raw_text)];
+        while let Some(step) = stack.pop() {
+            let (node, raw_text) = match step {
+                Step::Open(node, raw_text) => (node, raw_text),
+                Step::Close(node) => {
+                    let tag = self.tag_name(node).unwrap_or_default();
+                    out.push_str("</");
+                    out.push_str(tag);
+                    out.push('>');
+                    continue;
                 }
-            }
-            NodeData::Doctype(name) => {
-                out.push_str("<!DOCTYPE ");
-                out.push_str(name);
-                out.push('>');
-            }
-            NodeData::Comment(text) => {
-                out.push_str("<!--");
-                out.push_str(text);
-                out.push_str("-->");
-            }
-            NodeData::Text(text) => {
-                if raw_text {
-                    out.push_str(text);
-                } else {
-                    out.push_str(&escape_text(text));
-                }
-            }
-            NodeData::Element(element) => {
-                out.push('<');
-                out.push_str(&element.tag);
-                for (name, value) in &element.attrs {
-                    out.push(' ');
+            };
+            let children_raw = match self.data(node) {
+                NodeData::Document => false,
+                NodeData::Doctype(name) => {
+                    out.push_str("<!DOCTYPE ");
                     out.push_str(name);
-                    out.push_str("=\"");
-                    out.push_str(&escape_attribute(value));
-                    out.push('"');
+                    out.push('>');
+                    continue;
                 }
-                out.push('>');
-                if is_void_element(&element.tag) {
-                    return;
+                NodeData::Comment(text) => {
+                    out.push_str("<!--");
+                    out.push_str(text);
+                    out.push_str("-->");
+                    continue;
                 }
-                let raw = is_raw_text_element(&element.tag);
-                for child in self.children(id) {
-                    self.write_node(child, out, raw);
+                NodeData::Text(text) => {
+                    if raw_text {
+                        out.push_str(text);
+                    } else {
+                        out.push_str(&escape_text(text));
+                    }
+                    continue;
                 }
-                out.push_str("</");
-                out.push_str(&element.tag);
-                out.push('>');
+                NodeData::Element(element) => {
+                    out.push('<');
+                    out.push_str(&element.tag);
+                    for (name, value) in &element.attrs {
+                        out.push(' ');
+                        out.push_str(name);
+                        out.push_str("=\"");
+                        out.push_str(&escape_attribute(value));
+                        out.push('"');
+                    }
+                    out.push('>');
+                    if is_void_element(&element.tag) {
+                        continue;
+                    }
+                    stack.push(Step::Close(node));
+                    is_raw_text_element(&element.tag)
+                }
+            };
+            // Children go on the stack last-first so they pop in document order.
+            let mut child = self.last_child(node);
+            while let Some(current) = child {
+                stack.push(Step::Open(current, children_raw));
+                child = self.prev_sibling(current);
             }
         }
     }

@@ -2,20 +2,12 @@
 //! defenses (nonce validation against node splitting).
 
 use escudo_core::Nonce;
+use escudo_dom::serialize::is_void_element;
 use escudo_dom::{Document, NodeId};
 
+use crate::entities::decode_entities;
 use crate::token::Token;
-use crate::tokenizer::Tokenizer;
-
-/// Elements that never take children.
-const VOID_ELEMENTS: [&str; 14] = [
-    "area", "base", "br", "col", "embed", "hr", "img", "input", "link", "meta", "param", "source",
-    "track", "wbr",
-];
-
-fn is_void(tag: &str) -> bool {
-    VOID_ELEMENTS.contains(&tag)
-}
+use crate::tokenizer::{Piece, Tokenizer};
 
 /// Options controlling parsing.
 #[derive(Debug, Clone)]
@@ -99,7 +91,6 @@ pub fn parse_document(html: &str, options: &ParseOptions) -> ParseResult {
 
 struct OpenElement {
     node: NodeId,
-    tag: String,
     nonce: Option<Nonce>,
 }
 
@@ -127,11 +118,12 @@ impl Builder {
     fn run(mut self, html: &str) -> ParseResult {
         let mut tokenizer = Tokenizer::new(html);
         loop {
-            let token = tokenizer.next_token();
+            let piece = tokenizer.next_piece();
             self.report.tokens += 1;
-            match token {
-                Token::Eof => break,
-                other => self.process(other),
+            match piece {
+                Piece::Token(Token::Eof) => break,
+                Piece::Token(token) => self.process(token),
+                Piece::EndTag { name, nonce, .. } => self.end_tag(name, nonce),
             }
         }
         if self.options.imply_document_structure {
@@ -150,15 +142,17 @@ impl Builder {
             .unwrap_or_else(|| self.document.root())
     }
 
+    /// Builds the node a token stands for. Every string the token owns moves into
+    /// the arena; none is copied again.
     fn process(&mut self, token: Token) {
         match token {
             Token::Doctype(name) => {
-                let node = self.document.create_doctype(&name);
+                let node = self.document.create_doctype(name);
                 let root = self.document.root();
                 let _ = self.document.append_child(root, node);
             }
             Token::Comment(text) => {
-                let node = self.document.create_comment(&text);
+                let node = self.document.create_comment(text);
                 let parent = self.current_parent();
                 let _ = self.document.append_child(parent, node);
             }
@@ -172,7 +166,7 @@ impl Builder {
                     return;
                 }
                 let parent = self.current_parent();
-                let node = self.document.create_text(&text);
+                let node = self.document.create_text(text);
                 let _ = self.document.append_child(parent, node);
                 self.report.text_nodes += 1;
             }
@@ -180,47 +174,45 @@ impl Builder {
                 name,
                 attrs,
                 self_closing,
-            } => self.start_tag(&name, &attrs, self_closing),
-            Token::EndTag { name, attrs } => self.end_tag(&name, &attrs),
-            // Eof is handled by the run loop; reaching it here is a no-op.
-            Token::Eof => {}
+            } => self.start_tag(name, attrs, self_closing),
+            // End tags reach the builder borrowed (see `run`), and Eof ends the run
+            // loop; reaching either here is a no-op.
+            Token::EndTag { .. } | Token::Eof => {}
         }
     }
 
-    fn start_tag(&mut self, name: &str, attrs: &[(String, String)], self_closing: bool) {
-        let node = self.document.create_element(name);
-        for (attr_name, value) in attrs {
-            self.document.set_attribute(node, attr_name, value);
-        }
+    fn start_tag(&mut self, name: String, attrs: Vec<(String, String)>, self_closing: bool) {
+        let opens = !self_closing && !is_void_element(&name);
+        // Read the nonce before the attributes move into the arena.
+        let nonce = attrs
+            .iter()
+            .find(|(attr, _)| attr == "nonce")
+            .and_then(|(_, value)| value.parse::<Nonce>().ok());
+        let (is_html, is_body) = (name == "html", name == "body");
+        let node = self.document.create_element_from_parts(name, attrs);
         self.report.elements += 1;
 
         let parent = self.current_parent();
         let _ = self.document.append_child(parent, node);
 
-        match name {
-            "html" => self.html_node = Some(node),
-            "body" => self.body_node = Some(node),
-            _ => {}
+        if is_html {
+            self.html_node = Some(node);
+        } else if is_body {
+            self.body_node = Some(node);
         }
-
-        if self_closing || is_void(name) {
-            return;
+        if opens {
+            self.stack.push(OpenElement { node, nonce });
         }
-
-        let nonce = self
-            .document
-            .attribute(node, "nonce")
-            .and_then(|value| value.parse::<Nonce>().ok());
-        self.stack.push(OpenElement {
-            node,
-            tag: name.to_string(),
-            nonce,
-        });
     }
 
-    fn end_tag(&mut self, name: &str, attrs: &[(String, String)]) {
-        // Find the nearest open element with this tag name.
-        let Some(position) = self.stack.iter().rposition(|open| open.tag == name) else {
+    /// Closes the nearest open element named `name` (as written, so matched ASCII
+    /// case-insensitively); `nonce` is the end tag's raw `nonce` value.
+    fn end_tag(&mut self, name: &str, nonce: Option<&str>) {
+        let Some(position) = self.stack.iter().rposition(|open| {
+            self.document
+                .tag_name(open.node)
+                .is_some_and(|tag| tag.eq_ignore_ascii_case(name))
+        }) else {
             self.report.unmatched_end_tags += 1;
             return;
         };
@@ -230,14 +222,11 @@ impl Builder {
         // tag whose random nonce does not match the number in its matching div tag").
         if self.options.validate_nonces {
             if let Some(expected) = self.stack[position].nonce {
-                let offered = attrs
-                    .iter()
-                    .find(|(n, _)| n == "nonce")
-                    .and_then(|(_, v)| v.parse::<Nonce>().ok());
+                let offered = nonce.and_then(|raw| decode_entities(raw).parse::<Nonce>().ok());
                 if offered != Some(expected) {
                     self.report.rejected_end_tags += 1;
                     self.report.nonce_violations.push(NonceViolation {
-                        tag: name.to_string(),
+                        tag: name.to_ascii_lowercase(),
                         offered,
                         expected,
                     });

@@ -1,56 +1,65 @@
 //! Character-reference (entity) decoding.
 
+use std::borrow::Cow;
+
 /// Decodes the named and numeric character references that appear in the pages this
 /// repo generates and parses. Unknown references are left verbatim (browser-like
-/// recovery rather than an error).
+/// recovery rather than an error). Input without a `&` is returned borrowed.
 #[must_use]
-pub fn decode_entities(input: &str) -> String {
-    if !input.contains('&') {
-        return input.to_string();
-    }
+pub fn decode_entities(input: &str) -> Cow<'_, str> {
+    let Some(first) = input.find('&') else {
+        return Cow::Borrowed(input);
+    };
     let mut out = String::with_capacity(input.len());
-    let chars: Vec<char> = input.chars().collect();
-    let mut i = 0;
-    while i < chars.len() {
-        if chars[i] != '&' {
-            out.push(chars[i]);
-            i += 1;
-            continue;
-        }
-        // Find the terminating ';' within a reasonable distance.
-        let end = chars[i + 1..]
-            .iter()
+    out.push_str(&input[..first]);
+    // `rest` always starts at a '&'.
+    let mut rest = &input[first..];
+    loop {
+        let after = &rest[1..];
+        // The terminating ';' must lie within the next 32 characters.
+        let decoded = after
+            .char_indices()
             .take(32)
-            .position(|&c| c == ';')
-            .map(|offset| i + 1 + offset);
-        let Some(end) = end else {
-            out.push('&');
-            i += 1;
-            continue;
-        };
-        let entity: String = chars[i + 1..end].iter().collect();
-        match decode_one(&entity) {
-            Some(decoded) => {
-                out.push_str(&decoded);
-                i = end + 1;
-            }
+            .find(|&(_, c)| c == ';')
+            .filter(|&(end, _)| decode_one(&after[..end], &mut out))
+            .map(|(end, _)| end + 1);
+        let consumed = match decoded {
+            Some(len) => 1 + len,
             None => {
                 out.push('&');
-                i += 1;
+                1
+            }
+        };
+        rest = &rest[consumed..];
+        match rest.find('&') {
+            Some(at) => {
+                out.push_str(&rest[..at]);
+                rest = &rest[at..];
+            }
+            None => {
+                out.push_str(rest);
+                return Cow::Owned(out);
             }
         }
     }
-    out
 }
 
-fn decode_one(entity: &str) -> Option<String> {
+/// Appends the character(s) `entity` (the text between `&` and `;`) stands for to
+/// `out`; returns `false`, appending nothing, for an unknown reference.
+fn decode_one(entity: &str, out: &mut String) -> bool {
     if let Some(rest) = entity.strip_prefix('#') {
         let code = if let Some(hex) = rest.strip_prefix('x').or_else(|| rest.strip_prefix('X')) {
-            u32::from_str_radix(hex, 16).ok()?
+            u32::from_str_radix(hex, 16).ok()
         } else {
-            rest.parse::<u32>().ok()?
+            rest.parse::<u32>().ok()
         };
-        return char::from_u32(code).map(|c| c.to_string());
+        return match code.and_then(char::from_u32) {
+            Some(c) => {
+                out.push(c);
+                true
+            }
+            None => false,
+        };
     }
     let named = match entity {
         "amp" => "&",
@@ -68,9 +77,10 @@ fn decode_one(entity: &str) -> Option<String> {
         "rsquo" => "\u{2019}",
         "ldquo" => "\u{201c}",
         "rdquo" => "\u{201d}",
-        _ => return None,
+        _ => return false,
     };
-    Some(named.to_string())
+    out.push_str(named);
+    true
 }
 
 #[cfg(test)]

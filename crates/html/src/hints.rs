@@ -35,8 +35,7 @@ fn resource_attr<'d>(document: &'d Document, id: NodeId, attr: &str) -> Option<&
 #[must_use]
 pub fn critical_resources(document: &Document) -> Vec<(NodeId, String)> {
     document
-        .all_elements()
-        .into_iter()
+        .descendants(document.root())
         .filter_map(|id| match document.tag_name(id) {
             Some("link") => {
                 let rel = document.attribute(id, "rel")?;
@@ -56,8 +55,7 @@ pub fn critical_resources(document: &Document) -> Vec<(NodeId, String)> {
 #[must_use]
 pub fn prefetch_links(document: &Document) -> Vec<(NodeId, String)> {
     document
-        .all_elements()
-        .into_iter()
+        .descendants(document.root())
         .filter_map(|id| {
             if !document.is_element_named(id, "link") {
                 return None;

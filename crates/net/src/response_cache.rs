@@ -11,7 +11,8 @@
 //! cookie) misses and evicts the stale entry, so the cache fails closed.
 //!
 //! Layout follows the jar/engine precedent: a power-of-two shard array selected by
-//! the high 32 bits of an FNV-1a hash, each shard a capacity-bounded LRU behind its
+//! the low bits of an FNV-1a hash folded with its high half, so URLs that differ
+//! only in a trailing counter still spread; each shard is a capacity-bounded LRU behind its
 //! own mutex. Entries hold `Arc<Response>` so a hit is a refcount bump with zero
 //! body clone. Freshness comes from `Cache-Control: max-age=N` metered against a
 //! caller-supplied clock reading (the fabric injects its [`Clock`], so expiry is
@@ -186,7 +187,10 @@ impl ResponseCache {
 
     fn shard_for(&self, key: &str) -> &Mutex<Shard> {
         let hash = fnv1a(key.as_bytes());
-        let index = ((hash >> 32) as usize) & (self.shards.len() - 1);
+        // Fold the high half into the low bits: a key's last bytes reach only
+        // bits 40 and up through the FNV prime, so the low bits alone (or bits
+        // 32-34 alone) put keys that differ in a trailing counter in one shard.
+        let index = ((hash ^ (hash >> 32)) as usize) & (self.shards.len() - 1);
         &self.shards[index]
     }
 
@@ -363,6 +367,22 @@ mod tests {
 
     fn cacheable(body: &str, max_age: u64) -> Arc<Response> {
         Arc::new(Response::ok_text(body).with_max_age(max_age))
+    }
+
+    #[test]
+    fn urls_differing_in_a_trailing_counter_spread_over_every_shard() {
+        let cache = ResponseCache::new(128, RESPONSE_CACHE_SHARDS);
+        for i in 0..130 {
+            let url = format!("http://cdn.example/fill{i}");
+            assert!(cache.store(Method::Get, &url, "", cacheable("x", 60), 0, false));
+        }
+        let per_shard: Vec<usize> = cache
+            .shards
+            .iter()
+            .map(|shard| shard.lock().unwrap().entries.len())
+            .collect();
+        assert!(per_shard.iter().all(|&n| n > 0), "{per_shard:?}");
+        assert!(per_shard.iter().sum::<usize>() >= 100, "{per_shard:?}");
     }
 
     #[test]

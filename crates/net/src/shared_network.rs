@@ -1128,11 +1128,11 @@ mod tests {
                 cache_one_shot_hits: 2,
                 cache_stale_discards: 1,
                 cache_expired: 2,
-                cache_evictions: 107,
+                cache_evictions: 9,
                 cache_stored: 139,
                 cache_coalesced: 3,
-                cache_entries: 27,
-                cache_one_shot_entries: 24,
+                cache_entries: 125,
+                cache_one_shot_entries: 122,
             }
         );
     }
