@@ -678,12 +678,17 @@ impl Browser {
     // ------------------------------------------------------------- scripts & events
 
     fn execute_scripts(&mut self, page: &mut Page) {
-        let scripts = page.scripts.clone();
-        for unit in scripts {
+        // Scripts do not add script units; the list goes back after the loop.
+        let scripts = std::mem::take(&mut page.scripts);
+        for unit in &scripts {
             let start = Instant::now();
-            let principal = page
-                .contexts
-                .script_principal(unit.node, &format!("script in {}", unit.ring));
+            // The label only ever surfaces in retained audit records.
+            let label = if self.erm.retains_audit() {
+                format!("script in {}", unit.ring)
+            } else {
+                String::new()
+            };
+            let principal = page.contexts.script_principal(unit.node, label);
             let mode = self.erm.mode();
             let xhr = self.xhr_dispatch();
             let outcome = {
@@ -719,6 +724,7 @@ impl Browser {
             page.stats.script_ns += start.elapsed().as_nanos();
             page.script_outcomes.push(outcome);
         }
+        page.scripts = scripts;
     }
 
     /// Delivers a UI event to the element with the given `id`. Delivery is an implicit
@@ -774,7 +780,11 @@ impl Browser {
             kind: PrincipalKind::EventHandler,
             origin: page.origin.clone(),
             ring: page.contexts.node_label(node).ring,
-            label: format!("on{event} handler of #{element_id}"),
+            label: if self.erm.retains_audit() {
+                format!("on{event} handler of #{element_id}")
+            } else {
+                String::new()
+            },
         };
         let ring = principal.ring;
         let mode = self.erm.mode();

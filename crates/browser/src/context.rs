@@ -189,12 +189,12 @@ impl SecurityContextTable {
     /// The principal context of a script (or event handler) running at the privilege
     /// of `node`.
     #[must_use]
-    pub fn script_principal(&self, node: NodeId, label: &str) -> PrincipalContext {
+    pub fn script_principal(&self, node: NodeId, label: impl Into<String>) -> PrincipalContext {
         PrincipalContext {
             kind: PrincipalKind::Script,
             origin: self.origin.clone(),
             ring: self.node_label(node).ring,
-            label: label.to_string(),
+            label: label.into(),
         }
     }
 

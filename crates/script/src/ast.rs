@@ -1,4 +1,9 @@
 //! The abstract syntax tree for the ECMAScript subset.
+//!
+//! Names are shared strings, so evaluating a literal or a static property key
+//! is a refcount bump. Every identifier carries the [`Binding`] the resolver
+//! gave it: the frame slots it may live in, innermost first, and its global
+//! slot.
 
 use std::rc::Rc;
 
@@ -75,13 +80,75 @@ pub enum UpdateOp {
     Decrement,
 }
 
+/// A slot in a function's frame, `hops` frames up the closure chain from the
+/// frame an identifier is evaluated in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slot {
+    /// Frames to walk up: 0 is the current function's frame.
+    pub hops: u32,
+    /// Index into that frame's slots.
+    pub index: u32,
+}
+
+/// Where an identifier may live, decided once after parsing.
+///
+/// `locals` lists the slots of every enclosing function that declares the
+/// name, innermost first. A slot counts only once its declaration has run
+/// (parameters and `this` are declared on entry), so a lookup takes the first
+/// declared candidate and otherwise falls through to `global`, the name's slot
+/// in the interpreter's global table.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Binding {
+    /// Candidate frame slots, innermost first.
+    pub locals: Box<[Slot]>,
+    /// The global slot, used when no candidate is declared.
+    pub global: u32,
+}
+
+/// An identifier and its binding.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Var {
+    /// The name as written.
+    pub name: Rc<str>,
+    /// Filled in by the resolver.
+    pub binding: Binding,
+}
+
+impl Var {
+    /// An identifier the resolver has not seen yet.
+    #[must_use]
+    pub fn new(name: Rc<str>) -> Self {
+        Var {
+            name,
+            binding: Binding::default(),
+        }
+    }
+}
+
 /// A property key in a member expression.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MemberKey {
     /// `obj.name`
-    Static(String),
+    Static(Rc<str>),
     /// `obj[expr]`
     Computed(Box<Expr>),
+}
+
+/// A function literal or declaration: its parameters, body and frame layout.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Function {
+    /// Parameter names.
+    pub params: Vec<Rc<str>>,
+    /// Body statements.
+    pub body: Vec<Stmt>,
+    /// The frame layout: slot `i` holds `slots[i]`. Parameters come first (a
+    /// repeated name shares one slot), then `this`, then every `var` and
+    /// function declared in the body outside nested functions.
+    pub slots: Vec<Rc<str>>,
+    /// The slot of each parameter, in order.
+    pub param_slots: Vec<u32>,
+    /// The slot of `this`.
+    pub this_slot: u32,
 }
 
 /// An expression.
@@ -90,7 +157,7 @@ pub enum Expr {
     /// Numeric literal.
     Number(f64),
     /// String literal.
-    Str(String),
+    Str(Rc<str>),
     /// `true` / `false`.
     Bool(bool),
     /// `null`.
@@ -98,7 +165,7 @@ pub enum Expr {
     /// `undefined`.
     Undefined,
     /// Identifier reference.
-    Ident(String),
+    Ident(Var),
     /// Assignment to an identifier or member expression.
     Assign {
         /// The assignment target (identifier or member expression).
@@ -175,14 +242,9 @@ pub enum Expr {
     /// Array literal.
     Array(Vec<Expr>),
     /// Object literal (`{key: value, …}`).
-    Object(Vec<(String, Expr)>),
-    /// Function expression.
-    Function {
-        /// Parameter names.
-        params: Vec<String>,
-        /// Body statements (shared so closures are cheap to clone).
-        body: Rc<Vec<Stmt>>,
-    },
+    Object(Vec<(Rc<str>, Expr)>),
+    /// Function expression (shared so closures are cheap to create).
+    Function(Rc<Function>),
 }
 
 /// A statement.
@@ -193,18 +255,16 @@ pub enum Stmt {
     /// `var` / `let` / `const` declaration (all treated as function-scoped `var`).
     VarDecl {
         /// Variable name.
-        name: String,
+        name: Var,
         /// Optional initializer.
         init: Option<Expr>,
     },
     /// Named function declaration.
     FunctionDecl {
         /// Function name.
-        name: String,
-        /// Parameter names.
-        params: Vec<String>,
-        /// Body statements.
-        body: Rc<Vec<Stmt>>,
+        name: Var,
+        /// The function.
+        function: Rc<Function>,
     },
     /// `return` with an optional value.
     Return(Option<Expr>),
@@ -263,16 +323,17 @@ mod tests {
 
     #[test]
     fn function_bodies_are_shared() {
-        let body = Rc::new(vec![Stmt::Return(None)]);
-        let f1 = Expr::Function {
+        let function = Rc::new(Function {
             params: vec!["a".into()],
-            body: Rc::clone(&body),
-        };
+            body: vec![Stmt::Return(None)],
+            slots: vec!["a".into(), "this".into()],
+            param_slots: vec![0],
+            this_slot: 1,
+        });
+        let f1 = Expr::Function(Rc::clone(&function));
         let f2 = f1.clone();
         match (&f1, &f2) {
-            (Expr::Function { body: b1, .. }, Expr::Function { body: b2, .. }) => {
-                assert!(Rc::ptr_eq(b1, b2));
-            }
+            (Expr::Function(b1), Expr::Function(b2)) => assert!(Rc::ptr_eq(b1, b2)),
             _ => unreachable!(),
         }
     }

@@ -4,7 +4,7 @@ use std::error::Error;
 use std::fmt;
 
 use crate::host::HostError;
-use crate::interp::MAX_CALL_DEPTH;
+use crate::interp::{BYTE_BUDGET, MAX_CALL_DEPTH, MAX_NESTING};
 
 /// Errors produced while lexing, parsing or executing a script.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,6 +33,16 @@ pub enum ScriptError {
     StepLimitExceeded,
     /// The script nested more function calls than [`MAX_CALL_DEPTH`].
     CallDepthExceeded,
+    /// The source nests deeper than [`MAX_NESTING`]: parenthesized,
+    /// bracketed, braced, unary, assignment or operator chains, blocks or
+    /// function bodies.
+    NestingLimitExceeded {
+        /// Token index where the bound was crossed.
+        position: usize,
+    },
+    /// The script allocated more than [`BYTE_BUDGET`] bytes of strings,
+    /// array elements, objects and captured frames.
+    ByteBudgetExceeded,
 }
 
 impl fmt::Display for ScriptError {
@@ -53,6 +63,13 @@ impl fmt::Display for ScriptError {
                     f,
                     "script exceeded the call depth bound of {MAX_CALL_DEPTH}"
                 )
+            }
+            ScriptError::NestingLimitExceeded { position } => write!(
+                f,
+                "script nests deeper than the bound of {MAX_NESTING} near token {position}"
+            ),
+            ScriptError::ByteBudgetExceeded => {
+                write!(f, "script exceeded its budget of {BYTE_BUDGET} bytes")
             }
         }
     }

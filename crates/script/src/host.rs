@@ -215,12 +215,15 @@ impl Host for MockHost {
     }
 
     fn get_elements_by_tag_name(&mut self, tag: &str) -> Result<Vec<HostNodeId>, HostError> {
-        Ok(self
+        let mut nodes: Vec<HostNodeId> = self
             .nodes
             .iter()
             .filter(|(_, n)| n.tag.eq_ignore_ascii_case(tag))
             .map(|(id, _)| *id)
-            .collect())
+            .collect();
+        // Creation order, not hash order, so answers repeat across runs.
+        nodes.sort_unstable();
+        Ok(nodes)
     }
 
     fn create_element(&mut self, tag: &str) -> Result<HostNodeId, HostError> {

@@ -1,29 +1,96 @@
 //! The tree-walking interpreter.
+//!
+//! # Frames and slots
+//!
+//! Functions are the only scopes; blocks share their function's frame. After
+//! parsing, the resolver gives every identifier an ordered list of candidate
+//! slots, one per enclosing function that declares the name, plus a global
+//! slot (see [`crate::resolve`]). A frame is a vector of optional values: a
+//! slot is `None` until its declaration runs, so a read takes the first
+//! declared candidate, walking `hops` frames up the closure chain, and
+//! otherwise the global. An assignment to a name no candidate has declared
+//! creates the global (sloppy-mode implicit globals). Reading a variable is a
+//! few index operations and a refcount bump; nothing hashes a name or
+//! allocates.
+//!
+//! Globals live in one vector indexed by the interpreter's global-name table,
+//! which successive [`Interpreter::run`] calls share. The six host objects
+//! (`document`, `history`, `console`, `window`, `alert`, `XMLHttpRequest`)
+//! hold fixed slots, so creating an interpreter installs no names.
+//!
+//! A call takes a frame from a free list and returns it when the call
+//! returns, unless a function created while the call ran captured it.
+//!
+//! # Limits
+//!
+//! Every limit fails closed with a typed [`ScriptError`]:
+//!
+//! - **Steps.** Each statement and expression costs one step, and a call also
+//!   costs one step per slot of its frame (parameters, `this` and locals) and
+//!   per argument, so a call's set-up work is paid for. Past the budget
+//!   ([`DEFAULT_STEP_LIMIT`] unless [`Interpreter::with_step_limit`] says
+//!   otherwise) the script fails with [`ScriptError::StepLimitExceeded`]. The
+//!   step budget also bounds every allocation of bounded size per step: an
+//!   object, a property, a pushed element, a frame.
+//! - **Bytes.** The sites where one step can allocate without bound are
+//!   charged against [`BYTE_BUDGET`]: string concatenation, array growth
+//!   through an index, and wrapping the nodes `getElementsByTagName` returns.
+//!   Past it the script fails with [`ScriptError::ByteBudgetExceeded`] before
+//!   the allocation is made.
+//! - **Nesting.** The parser refuses trees taller than [`MAX_NESTING`]
+//!   ([`ScriptError::NestingLimitExceeded`]), and at most [`MAX_CALL_DEPTH`]
+//!   user calls nest ([`ScriptError::CallDepthExceeded`]). The evaluator
+//!   recurses once per tree level, so together they bound its stack.
 
-use std::collections::HashMap;
+use std::fmt::Write as _;
+use std::rc::Rc;
 
-use crate::ast::{AssignOp, BinOp, Expr, LogicalOp, MemberKey, Stmt, UnOp, UpdateOp};
+use crate::ast::{
+    AssignOp, BinOp, Binding, Expr, Function, LogicalOp, MemberKey, Stmt, UnOp, UpdateOp, Var,
+};
 use crate::error::ScriptError;
 use crate::host::Host;
 use crate::parser::parse_program;
+use crate::resolve::{resolve, GlobalNames, ALERT_SLOT, DOCUMENT_SLOT, HISTORY_SLOT};
 use crate::value::{Callable, NativeFn, NativeTag, Obj, ObjId, Value};
 
 /// Default number of evaluation steps a script may take before it is aborted.
 pub const DEFAULT_STEP_LIMIT: u64 = 2_000_000;
 
-/// Bound on nested user-function calls. The interpreter walks the tree
-/// recursively, so each JS call costs several Rust frames; the step budget does
-/// not bound that, and `function f(n){ return f(n+1); }` would otherwise abort
-/// the whole process with a stack overflow. In the debug profile one call level
-/// costs about 14 KiB of stack, or about 40 KiB when its `return` nests three
-/// operators around the call, so 32 levels stay well inside a 2 MiB thread
-/// stack.
+/// Bound on nested user-function calls. The step budget does not bound the
+/// evaluator's recursion, and `function f(n){ return f(n+1); }` would
+/// otherwise abort the whole process with a stack overflow.
 pub const MAX_CALL_DEPTH: usize = 32;
 
+/// Bound on the height of a parsed tree and on the parser's recursion. The
+/// evaluator recurses once per tree level, so one call level costs at most
+/// this many evaluation levels. Sized so that the deepest tree inside
+/// [`MAX_CALL_DEPTH`] nested calls fits a 2 MiB thread stack in the debug
+/// profile, where frames are largest: the worst shape measured (a call chain
+/// `f(n + 1)()()…` in every call) takes about 1.1 MiB there. The Figure-4,
+/// forum and application scripts parse with a bound of 6.
+pub const MAX_NESTING: u32 = 24;
+
+/// Bytes one script may allocate at the sites where one step can allocate
+/// without bound (see the module docs). The charge is cumulative, so it bounds
+/// both memory and the copying work of repeated concatenation. 16 MiB is far
+/// above any script of the Figure-4, forum or application workloads (the
+/// largest charges 50 bytes, for one concatenation) and holds a doubling loop
+/// to a string of at most 8 MiB.
+pub const BYTE_BUDGET: usize = 16 << 20;
+
+/// The frame id of the global scope, which has no frame of its own.
+const GLOBAL: u32 = u32::MAX;
+
+/// One function activation.
 #[derive(Debug)]
-struct Scope {
-    vars: HashMap<String, Value>,
-    parent: Option<usize>,
+struct Frame {
+    /// One entry per name in the function's layout; `None` until declared.
+    slots: Vec<Option<Value>>,
+    /// The frame the function closed over.
+    parent: u32,
+    /// A function created during the activation holds this frame.
+    captured: bool,
 }
 
 /// How a statement finished.
@@ -34,26 +101,60 @@ enum Flow {
     Continue,
 }
 
+/// A property key: a name, or an array index computed from a number.
+enum Key {
+    Name(Rc<str>),
+    Index(usize),
+}
+
+impl Key {
+    fn name(&self) -> Rc<str> {
+        match self {
+            Key::Name(name) => Rc::clone(name),
+            Key::Index(index) => Rc::from(index.to_string()),
+        }
+    }
+}
+
+impl std::fmt::Display for Key {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Key::Name(name) => f.write_str(name),
+            Key::Index(index) => write!(f, "{index}"),
+        }
+    }
+}
+
 /// The script interpreter. One interpreter instance executes one script (or a series
 /// of scripts sharing globals) against a single [`Host`].
 pub struct Interpreter<'h> {
     host: &'h mut dyn Host,
     heap: Vec<Obj>,
-    scopes: Vec<Scope>,
+    /// Global slots, indexed by `names`.
+    globals: Vec<Option<Value>>,
+    names: GlobalNames,
+    frames: Vec<Frame>,
+    /// Frames returned by finished calls, ready for reuse.
+    free_frames: Vec<u32>,
     steps_remaining: u64,
+    bytes_remaining: usize,
     /// User-function calls currently on the interpreter's stack.
     call_depth: usize,
     /// Value of the most recent expression statement; `run` returns it so callers and
     /// tests can observe a script's "result" without a return statement.
     last_expression_value: Option<Value>,
+    /// Reused buffer for building concatenations.
+    scratch: String,
 }
 
 impl std::fmt::Debug for Interpreter<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Interpreter")
             .field("heap_objects", &self.heap.len())
-            .field("scopes", &self.scopes.len())
+            .field("globals", &self.globals.len())
+            .field("frames", &self.live_frames())
             .field("steps_remaining", &self.steps_remaining)
+            .field("bytes_remaining", &self.bytes_remaining)
             .finish()
     }
 }
@@ -61,19 +162,31 @@ impl std::fmt::Debug for Interpreter<'_> {
 impl<'h> Interpreter<'h> {
     /// Creates an interpreter whose effectful operations go to `host`.
     pub fn new(host: &'h mut dyn Host) -> Self {
-        let mut interp = Interpreter {
+        // The host objects, in the fixed order of `resolve::HOST_GLOBALS`.
+        let heap = vec![
+            Obj::native(NativeTag::Document),
+            Obj::native(NativeTag::History),
+            Obj::native(NativeTag::Console),
+            Obj::native(NativeTag::Window),
+            Obj::native_fn(NativeFn::Alert),
+            Obj::native_fn(NativeFn::XhrConstructor),
+        ];
+        let globals = (0..heap.len())
+            .map(|id| Some(Value::Object(ObjId(id))))
+            .collect();
+        Interpreter {
             host,
-            heap: Vec::new(),
-            scopes: vec![Scope {
-                vars: HashMap::new(),
-                parent: None,
-            }],
+            heap,
+            globals,
+            names: GlobalNames::default(),
+            frames: Vec::new(),
+            free_frames: Vec::new(),
             steps_remaining: DEFAULT_STEP_LIMIT,
+            bytes_remaining: BYTE_BUDGET,
             call_depth: 0,
             last_expression_value: None,
-        };
-        interp.install_globals();
-        interp
+            scratch: String::new(),
+        }
     }
 
     /// Replaces the step budget (builder style). Scripts exceeding the budget abort
@@ -85,7 +198,8 @@ impl<'h> Interpreter<'h> {
     }
 
     /// Parses and runs a script. Returns the value of the last expression statement
-    /// (useful for tests and examples), or `undefined`.
+    /// (useful for tests and examples), or `undefined`. Successive runs share
+    /// their globals.
     ///
     /// # Errors
     ///
@@ -93,19 +207,12 @@ impl<'h> Interpreter<'h> {
     /// for ESCUDO — [`ScriptError::AccessDenied`] when the reference monitor rejects a
     /// host call made by the script.
     pub fn run(&mut self, source: &str) -> Result<Value, ScriptError> {
-        let program = parse_program(source)?;
-        self.run_program(&program)
-    }
-
-    /// Runs an already-parsed program.
-    ///
-    /// # Errors
-    ///
-    /// See [`Interpreter::run`].
-    pub fn run_program(&mut self, program: &[Stmt]) -> Result<Value, ScriptError> {
+        let mut program = parse_program(source)?;
+        resolve(&mut program, &mut self.names);
+        self.globals.resize(self.names.len(), None);
         let mut last = Value::Undefined;
-        for stmt in program {
-            match self.exec(stmt, 0)? {
+        for stmt in &program {
+            match self.exec(stmt, GLOBAL)? {
                 Flow::Return(value) => return Ok(value),
                 Flow::Normal => {
                     if let Stmt::Expr(_) = stmt {
@@ -121,13 +228,30 @@ impl<'h> Interpreter<'h> {
         Ok(last)
     }
 
+    /// Frames alive now: the global scope plus every call in progress and
+    /// every frame a closure captured.
+    pub(crate) fn live_frames(&self) -> usize {
+        1 + self.frames.len() - self.free_frames.len()
+    }
+
     // ------------------------------------------------------------- bookkeeping
 
-    fn charge(&mut self) -> Result<(), ScriptError> {
-        if self.steps_remaining == 0 {
+    fn charge(&mut self, steps: u64) -> Result<(), ScriptError> {
+        if self.steps_remaining < steps {
+            self.steps_remaining = 0;
             return Err(ScriptError::StepLimitExceeded);
         }
-        self.steps_remaining -= 1;
+        self.steps_remaining -= steps;
+        Ok(())
+    }
+
+    /// Charges `bytes` against the byte budget, before they are allocated.
+    fn spend(&mut self, bytes: usize) -> Result<(), ScriptError> {
+        if bytes > self.bytes_remaining {
+            self.bytes_remaining = 0;
+            return Err(ScriptError::ByteBudgetExceeded);
+        }
+        self.bytes_remaining -= bytes;
         Ok(())
     }
 
@@ -144,149 +268,231 @@ impl<'h> Interpreter<'h> {
         &mut self.heap[id.0]
     }
 
-    fn install_globals(&mut self) {
-        let document = self.alloc(Obj::native(NativeTag::Document));
-        let history = self.alloc(Obj::native(NativeTag::History));
-        let console = self.alloc(Obj::native(NativeTag::Console));
-        let window = self.alloc(Obj::native(NativeTag::Window));
-        let alert = self.alloc(Obj::native_fn(NativeFn::Alert));
-        let xhr_ctor = self.alloc(Obj::native_fn(NativeFn::XhrConstructor));
-        let globals = &mut self.scopes[0].vars;
-        globals.insert("document".to_string(), document);
-        globals.insert("history".to_string(), history);
-        globals.insert("console".to_string(), console);
-        globals.insert("window".to_string(), window);
-        globals.insert("alert".to_string(), alert);
-        globals.insert("XMLHttpRequest".to_string(), xhr_ctor);
+    // ------------------------------------------------------------- frames
+
+    fn push_frame(&mut self, parent: u32, size: usize) -> u32 {
+        match self.free_frames.pop() {
+            Some(id) => {
+                let frame = &mut self.frames[id as usize];
+                frame.slots.resize(size, None);
+                frame.parent = parent;
+                frame.captured = false;
+                id
+            }
+            None => {
+                self.frames.push(Frame {
+                    slots: vec![None; size],
+                    parent,
+                    captured: false,
+                });
+                (self.frames.len() - 1) as u32
+            }
+        }
     }
 
-    // ------------------------------------------------------------- scopes
+    fn pop_frame(&mut self, id: u32) {
+        let frame = &mut self.frames[id as usize];
+        if !frame.captured {
+            frame.slots.clear();
+            self.free_frames.push(id);
+        }
+    }
 
-    fn lookup(&self, scope: usize, name: &str) -> Option<Value> {
-        let mut current = Some(scope);
-        while let Some(idx) = current {
-            if let Some(value) = self.scopes[idx].vars.get(name) {
-                return Some(value.clone());
+    /// The declared local slot `binding` names from `frame`, as (frame, slot).
+    fn local(&self, binding: &Binding, frame: u32) -> Option<(usize, usize)> {
+        let mut current = frame;
+        let mut hops = 0;
+        for slot in binding.locals.iter() {
+            while hops < slot.hops {
+                current = self.frames[current as usize].parent;
+                hops += 1;
             }
-            current = self.scopes[idx].parent;
+            let index = slot.index as usize;
+            if self.frames[current as usize].slots[index].is_some() {
+                return Some((current as usize, index));
+            }
         }
         None
     }
 
-    fn assign_existing(&mut self, scope: usize, name: &str, value: Value) -> bool {
-        let mut current = Some(scope);
-        while let Some(idx) = current {
-            if self.scopes[idx].vars.contains_key(name) {
-                self.scopes[idx].vars.insert(name.to_string(), value);
-                return true;
-            }
-            current = self.scopes[idx].parent;
-        }
-        false
+    fn read(&self, var: &Var, frame: u32) -> Result<Value, ScriptError> {
+        let value = match self.local(&var.binding, frame) {
+            Some((frame, slot)) => &self.frames[frame].slots[slot],
+            None => &self.globals[var.binding.global as usize],
+        };
+        value
+            .clone()
+            .ok_or_else(|| ScriptError::Runtime(format!("`{}` is not defined", var.name)))
     }
 
-    fn declare(&mut self, scope: usize, name: &str, value: Value) {
-        self.scopes[scope].vars.insert(name.to_string(), value);
+    /// Assigns to the first declared candidate, else to the global (creating
+    /// it, like sloppy-mode JavaScript).
+    fn write(&mut self, var: &Var, frame: u32, value: Value) {
+        let slot = match self.local(&var.binding, frame) {
+            Some((frame, slot)) => &mut self.frames[frame].slots[slot],
+            None => &mut self.globals[var.binding.global as usize],
+        };
+        *slot = Some(value);
+    }
+
+    /// Runs a declaration: the name's slot in the current function's frame, or
+    /// the global at the top level.
+    fn declare(&mut self, var: &Var, frame: u32, value: Value) {
+        let slot = match var.binding.locals.first() {
+            Some(slot) => &mut self.frames[frame as usize].slots[slot.index as usize],
+            None => &mut self.globals[var.binding.global as usize],
+        };
+        *slot = Some(value);
+    }
+
+    /// A function object closing over `frame`, which stays alive from now on.
+    fn closure(&mut self, function: &Rc<Function>, frame: u32) -> Value {
+        if frame != GLOBAL {
+            self.frames[frame as usize].captured = true;
+        }
+        self.alloc(Obj {
+            callable: Some(Callable::User {
+                function: Rc::clone(function),
+                scope: frame,
+            }),
+            ..Obj::default()
+        })
     }
 
     // ------------------------------------------------------------- statements
+    //
+    // `exec` and `eval` recurse once per tree level, and `MAX_NESTING` levels
+    // run inside each of `MAX_CALL_DEPTH` calls. To keep a level's stack small
+    // in every build profile, the two dispatchers bind as little as they can:
+    // most arms hand the whole node to a helper that destructures it, and work
+    // that does not recurse sits in helpers off the recursive path.
 
-    fn exec(&mut self, stmt: &Stmt, scope: usize) -> Result<Flow, ScriptError> {
-        self.charge()?;
+    fn exec(&mut self, stmt: &Stmt, frame: u32) -> Result<Flow, ScriptError> {
+        self.charge(1)?;
         match stmt {
             Stmt::Empty => Ok(Flow::Normal),
-            Stmt::Expr(expr) => {
-                let value = self.eval(expr, scope)?;
-                self.last_expression_value = Some(value);
-                Ok(Flow::Normal)
-            }
-            Stmt::VarDecl { name, init } => {
-                let value = match init {
-                    Some(expr) => self.eval(expr, scope)?,
-                    None => Value::Undefined,
-                };
-                self.declare(scope, name, value);
-                Ok(Flow::Normal)
-            }
-            Stmt::FunctionDecl { name, params, body } => {
-                let function = self.alloc(Obj {
-                    callable: Some(Callable::User {
-                        params: params.clone(),
-                        body: body.clone(),
-                        scope,
-                    }),
-                    ..Obj::default()
-                });
-                self.declare(scope, name, function);
-                Ok(Flow::Normal)
-            }
-            Stmt::Return(expr) => {
-                let value = match expr {
-                    Some(expr) => self.eval(expr, scope)?,
-                    None => Value::Undefined,
-                };
-                Ok(Flow::Return(value))
-            }
-            Stmt::Block(statements) => self.exec_block(statements, scope),
-            Stmt::If {
-                cond,
-                then,
-                otherwise,
-            } => {
-                if self.eval(cond, scope)?.is_truthy() {
-                    self.exec_block(then, scope)
-                } else if let Some(otherwise) = otherwise {
-                    self.exec_block(otherwise, scope)
-                } else {
-                    Ok(Flow::Normal)
-                }
-            }
-            Stmt::While { cond, body } => {
-                while self.eval(cond, scope)?.is_truthy() {
-                    match self.exec_block(body, scope)? {
-                        Flow::Return(value) => return Ok(Flow::Return(value)),
-                        Flow::Break => break,
-                        Flow::Continue | Flow::Normal => {}
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            Stmt::For {
-                init,
-                cond,
-                update,
-                body,
-            } => {
-                if let Some(init) = init {
-                    self.exec(init, scope)?;
-                }
-                loop {
-                    let keep_going = match cond {
-                        Some(cond) => self.eval(cond, scope)?.is_truthy(),
-                        None => true,
-                    };
-                    if !keep_going {
-                        break;
-                    }
-                    match self.exec_block(body, scope)? {
-                        Flow::Return(value) => return Ok(Flow::Return(value)),
-                        Flow::Break => break,
-                        Flow::Continue | Flow::Normal => {}
-                    }
-                    if let Some(update) = update {
-                        self.eval(update, scope)?;
-                    }
-                }
-                Ok(Flow::Normal)
-            }
+            Stmt::Expr(_) => self.exec_expr(stmt, frame),
+            Stmt::VarDecl { .. } => self.exec_var(stmt, frame),
+            Stmt::FunctionDecl { .. } => self.exec_function(stmt, frame),
+            Stmt::Return(_) => self.exec_return(stmt, frame),
+            Stmt::Block(_) | Stmt::If { .. } => self.exec_branch(stmt, frame),
+            Stmt::While { .. } => self.exec_while(stmt, frame),
+            Stmt::For { .. } => self.exec_for(stmt, frame),
             Stmt::Break => Ok(Flow::Break),
             Stmt::Continue => Ok(Flow::Continue),
         }
     }
 
-    fn exec_block(&mut self, statements: &[Stmt], scope: usize) -> Result<Flow, ScriptError> {
+    fn exec_expr(&mut self, stmt: &Stmt, frame: u32) -> Result<Flow, ScriptError> {
+        let Stmt::Expr(expr) = stmt else {
+            unreachable!("dispatched on Stmt::Expr")
+        };
+        self.last_expression_value = Some(self.eval(expr, frame)?);
+        Ok(Flow::Normal)
+    }
+
+    fn exec_var(&mut self, stmt: &Stmt, frame: u32) -> Result<Flow, ScriptError> {
+        let Stmt::VarDecl { name, init } = stmt else {
+            unreachable!("dispatched on Stmt::VarDecl")
+        };
+        let value = match init {
+            Some(expr) => self.eval(expr, frame)?,
+            None => Value::Undefined,
+        };
+        self.declare(name, frame, value);
+        Ok(Flow::Normal)
+    }
+
+    fn exec_function(&mut self, stmt: &Stmt, frame: u32) -> Result<Flow, ScriptError> {
+        let Stmt::FunctionDecl { name, function } = stmt else {
+            unreachable!("dispatched on Stmt::FunctionDecl")
+        };
+        let value = self.closure(function, frame);
+        self.declare(name, frame, value);
+        Ok(Flow::Normal)
+    }
+
+    fn exec_return(&mut self, stmt: &Stmt, frame: u32) -> Result<Flow, ScriptError> {
+        let Stmt::Return(expr) = stmt else {
+            unreachable!("dispatched on Stmt::Return")
+        };
+        Ok(Flow::Return(match expr {
+            Some(expr) => self.eval(expr, frame)?,
+            None => Value::Undefined,
+        }))
+    }
+
+    /// A block, or the branch of an `if` its condition picks.
+    fn exec_branch(&mut self, stmt: &Stmt, frame: u32) -> Result<Flow, ScriptError> {
+        let branch = match stmt {
+            Stmt::Block(statements) => Some(statements),
+            Stmt::If {
+                cond,
+                then,
+                otherwise,
+            } => {
+                if self.eval(cond, frame)?.is_truthy() {
+                    Some(then)
+                } else {
+                    otherwise.as_ref()
+                }
+            }
+            _ => unreachable!("dispatched on Stmt::Block or Stmt::If"),
+        };
+        match branch {
+            Some(statements) => self.exec_block(statements, frame),
+            None => Ok(Flow::Normal),
+        }
+    }
+
+    fn exec_while(&mut self, stmt: &Stmt, frame: u32) -> Result<Flow, ScriptError> {
+        let Stmt::While { cond, body } = stmt else {
+            unreachable!("dispatched on Stmt::While")
+        };
+        while self.eval(cond, frame)?.is_truthy() {
+            match self.exec_block(body, frame)? {
+                Flow::Return(value) => return Ok(Flow::Return(value)),
+                Flow::Break => break,
+                Flow::Continue | Flow::Normal => {}
+            }
+        }
+        Ok(Flow::Normal)
+    }
+
+    fn exec_for(&mut self, stmt: &Stmt, frame: u32) -> Result<Flow, ScriptError> {
+        let Stmt::For {
+            init,
+            cond,
+            update,
+            body,
+        } = stmt
+        else {
+            unreachable!("dispatched on Stmt::For")
+        };
+        if let Some(init) = init {
+            self.exec(init, frame)?;
+        }
+        loop {
+            if let Some(cond) = cond {
+                if !self.eval(cond, frame)?.is_truthy() {
+                    break;
+                }
+            }
+            match self.exec_block(body, frame)? {
+                Flow::Return(value) => return Ok(Flow::Return(value)),
+                Flow::Break => break,
+                Flow::Continue | Flow::Normal => {}
+            }
+            if let Some(update) = update {
+                self.eval(update, frame)?;
+            }
+        }
+        Ok(Flow::Normal)
+    }
+
+    fn exec_block(&mut self, statements: &[Stmt], frame: u32) -> Result<Flow, ScriptError> {
         for stmt in statements {
-            match self.exec(stmt, scope)? {
+            match self.exec(stmt, frame)? {
                 Flow::Normal => {}
                 other => return Ok(other),
             }
@@ -296,222 +502,291 @@ impl<'h> Interpreter<'h> {
 
     // ------------------------------------------------------------- expressions
 
-    fn eval(&mut self, expr: &Expr, scope: usize) -> Result<Value, ScriptError> {
-        self.charge()?;
+    fn eval(&mut self, expr: &Expr, frame: u32) -> Result<Value, ScriptError> {
+        self.charge(1)?;
         match expr {
-            Expr::Number(n) => Ok(Value::Number(*n)),
-            Expr::Str(s) => Ok(Value::Str(s.clone())),
-            Expr::Bool(b) => Ok(Value::Bool(*b)),
-            Expr::Null => Ok(Value::Null),
-            Expr::Undefined => Ok(Value::Undefined),
-            Expr::Ident(name) => self
-                .lookup(scope, name)
-                .ok_or_else(|| ScriptError::Runtime(format!("`{name}` is not defined"))),
-            Expr::Array(elements) => {
-                let mut values = Vec::with_capacity(elements.len());
-                for element in elements {
-                    values.push(self.eval(element, scope)?);
-                }
-                Ok(self.alloc(Obj::array(values)))
-            }
-            Expr::Object(properties) => {
-                let mut obj = Obj::plain();
-                for (key, value_expr) in properties {
-                    let value = self.eval(value_expr, scope)?;
-                    obj.props.insert(key.clone(), value);
-                }
-                Ok(self.alloc(obj))
-            }
-            Expr::Function { params, body } => Ok(self.alloc(Obj {
-                callable: Some(Callable::User {
-                    params: params.clone(),
-                    body: body.clone(),
-                    scope,
-                }),
-                ..Obj::default()
-            })),
-            Expr::Unary { op, expr } => {
-                let value = self.eval(expr, scope)?;
-                Ok(match op {
-                    UnOp::Neg => Value::Number(-value.to_number()),
-                    UnOp::Plus => Value::Number(value.to_number()),
-                    UnOp::Not => Value::Bool(!value.is_truthy()),
-                    UnOp::Typeof => {
-                        let name = if matches!(&value, Value::Object(id) if self.obj(*id).callable.is_some())
-                        {
-                            "function"
-                        } else {
-                            value.type_of()
-                        };
-                        Value::Str(name.to_string())
-                    }
-                })
-            }
-            Expr::Binary { op, left, right } => {
-                let left = self.eval(left, scope)?;
-                let right = self.eval(right, scope)?;
-                self.binary(*op, left, right)
-            }
-            Expr::Logical { op, left, right } => {
-                let left = self.eval(left, scope)?;
-                match op {
-                    LogicalOp::And => {
-                        if left.is_truthy() {
-                            self.eval(right, scope)
-                        } else {
-                            Ok(left)
-                        }
-                    }
-                    LogicalOp::Or => {
-                        if left.is_truthy() {
-                            Ok(left)
-                        } else {
-                            self.eval(right, scope)
-                        }
-                    }
-                }
-            }
-            Expr::Conditional {
-                cond,
-                then,
-                otherwise,
-            } => {
-                if self.eval(cond, scope)?.is_truthy() {
-                    self.eval(then, scope)
+            Expr::Ident(var) => self.read(var, frame),
+            Expr::Number(_)
+            | Expr::Str(_)
+            | Expr::Bool(_)
+            | Expr::Null
+            | Expr::Undefined
+            | Expr::Function(_) => Ok(self.literal(expr, frame)),
+            Expr::Array(elements) => self.eval_array(elements, frame),
+            Expr::Object(_) => self.eval_object(expr, frame),
+            Expr::Unary { .. } => self.eval_unary(expr, frame),
+            Expr::Binary { .. } | Expr::Logical { .. } => self.eval_binary(expr, frame),
+            Expr::Conditional { .. } => self.eval_conditional(expr, frame),
+            Expr::Assign { .. } => self.eval_assign(expr, frame),
+            Expr::Update { .. } => self.eval_update(expr, frame),
+            Expr::Member { .. } => self.eval_member(expr, frame),
+            Expr::Call { .. } => self.eval_call(expr, frame),
+            Expr::New { .. } => self.eval_new(expr, frame),
+        }
+    }
+
+    fn literal(&mut self, expr: &Expr, frame: u32) -> Value {
+        match expr {
+            Expr::Number(n) => Value::Number(*n),
+            Expr::Str(s) => Value::Str(Rc::clone(s)),
+            Expr::Bool(b) => Value::Bool(*b),
+            Expr::Null => Value::Null,
+            Expr::Function(function) => self.closure(function, frame),
+            _ => Value::Undefined,
+        }
+    }
+
+    fn eval_args(&mut self, args: &[Expr], frame: u32) -> Result<Vec<Value>, ScriptError> {
+        let mut values = Vec::with_capacity(args.len());
+        for arg in args {
+            values.push(self.eval(arg, frame)?);
+        }
+        Ok(values)
+    }
+
+    fn eval_array(&mut self, elements: &[Expr], frame: u32) -> Result<Value, ScriptError> {
+        let elements = self.eval_args(elements, frame)?;
+        Ok(self.alloc(Obj::array(elements)))
+    }
+
+    fn eval_object(&mut self, expr: &Expr, frame: u32) -> Result<Value, ScriptError> {
+        let Expr::Object(properties) = expr else {
+            unreachable!("dispatched on Expr::Object")
+        };
+        let mut obj = Obj::plain();
+        for (key, value) in properties {
+            let value = self.eval(value, frame)?;
+            obj.props.insert(Rc::clone(key), value);
+        }
+        Ok(self.alloc(obj))
+    }
+
+    fn eval_unary(&mut self, expr: &Expr, frame: u32) -> Result<Value, ScriptError> {
+        let Expr::Unary { op, expr } = expr else {
+            unreachable!("dispatched on Expr::Unary")
+        };
+        let value = self.eval(expr, frame)?;
+        Ok(self.unary(*op, &value))
+    }
+
+    fn unary(&self, op: UnOp, value: &Value) -> Value {
+        match op {
+            UnOp::Neg => Value::Number(-value.to_number()),
+            UnOp::Plus => Value::Number(value.to_number()),
+            UnOp::Not => Value::Bool(!value.is_truthy()),
+            UnOp::Typeof => {
+                let name = if matches!(value, Value::Object(id) if self.obj(*id).callable.is_some())
+                {
+                    "function"
                 } else {
-                    self.eval(otherwise, scope)
-                }
-            }
-            Expr::Assign { target, op, value } => {
-                let rhs = self.eval(value, scope)?;
-                let new_value = match op {
-                    AssignOp::Assign => rhs,
-                    AssignOp::Add => {
-                        let current = self.eval(target, scope)?;
-                        self.binary(BinOp::Add, current, rhs)?
-                    }
-                    AssignOp::Sub => {
-                        let current = self.eval(target, scope)?;
-                        self.binary(BinOp::Sub, current, rhs)?
-                    }
+                    value.type_of()
                 };
-                self.assign(target, new_value.clone(), scope)?;
-                Ok(new_value)
-            }
-            Expr::Update { op, prefix, target } => {
-                let current = self.eval(target, scope)?.to_number();
-                let delta = match op {
-                    UpdateOp::Increment => 1.0,
-                    UpdateOp::Decrement => -1.0,
-                };
-                let updated = Value::Number(current + delta);
-                self.assign(target, updated.clone(), scope)?;
-                Ok(if *prefix {
-                    updated
-                } else {
-                    Value::Number(current)
-                })
-            }
-            Expr::Member { object, property } => {
-                let object_value = self.eval(object, scope)?;
-                let key = self.member_key(property, scope)?;
-                self.get_member(object_value, &key)
-            }
-            Expr::Call { callee, args } => {
-                let (function, this) = match callee.as_ref() {
-                    Expr::Member { object, property } => {
-                        let this = self.eval(object, scope)?;
-                        let key = self.member_key(property, scope)?;
-                        let function = self.get_member(this.clone(), &key)?;
-                        (function, this)
-                    }
-                    other => (self.eval(other, scope)?, Value::Undefined),
-                };
-                let mut arg_values = Vec::with_capacity(args.len());
-                for arg in args {
-                    arg_values.push(self.eval(arg, scope)?);
-                }
-                self.call(function, this, arg_values)
-            }
-            Expr::New { callee, args } => {
-                let function = self.eval(callee, scope)?;
-                let mut arg_values = Vec::with_capacity(args.len());
-                for arg in args {
-                    arg_values.push(self.eval(arg, scope)?);
-                }
-                self.construct(function, arg_values)
+                Value::Str(Rc::from(name))
             }
         }
     }
 
-    fn member_key(&mut self, property: &MemberKey, scope: usize) -> Result<String, ScriptError> {
+    /// Binary and short-circuiting logical operators.
+    fn eval_binary(&mut self, expr: &Expr, frame: u32) -> Result<Value, ScriptError> {
+        let (left, right) = match expr {
+            Expr::Binary { left, right, .. } | Expr::Logical { left, right, .. } => (left, right),
+            _ => unreachable!("dispatched on Expr::Binary or Expr::Logical"),
+        };
+        let left = self.eval(left, frame)?;
+        let short_circuit = match expr {
+            Expr::Logical {
+                op: LogicalOp::And, ..
+            } => !left.is_truthy(),
+            Expr::Logical {
+                op: LogicalOp::Or, ..
+            } => left.is_truthy(),
+            _ => false,
+        };
+        if short_circuit {
+            return Ok(left);
+        }
+        let right = self.eval(right, frame)?;
+        match expr {
+            Expr::Binary { op, .. } => self.binary(*op, &left, &right),
+            _ => Ok(right),
+        }
+    }
+
+    fn eval_conditional(&mut self, expr: &Expr, frame: u32) -> Result<Value, ScriptError> {
+        let Expr::Conditional {
+            cond,
+            then,
+            otherwise,
+        } = expr
+        else {
+            unreachable!("dispatched on Expr::Conditional")
+        };
+        let branch = if self.eval(cond, frame)?.is_truthy() {
+            then
+        } else {
+            otherwise
+        };
+        self.eval(branch, frame)
+    }
+
+    fn eval_assign(&mut self, expr: &Expr, frame: u32) -> Result<Value, ScriptError> {
+        let Expr::Assign { target, op, value } = expr else {
+            unreachable!("dispatched on Expr::Assign")
+        };
+        let rhs = self.eval(value, frame)?;
+        self.store(target, *op, rhs, frame)
+    }
+
+    /// Completes `target op= rhs` once `rhs` is known; returns the stored value.
+    fn store(
+        &mut self,
+        target: &Expr,
+        op: AssignOp,
+        rhs: Value,
+        frame: u32,
+    ) -> Result<Value, ScriptError> {
+        let value = match op {
+            AssignOp::Assign => rhs,
+            AssignOp::Add => {
+                let current = self.eval(target, frame)?;
+                self.binary(BinOp::Add, &current, &rhs)?
+            }
+            AssignOp::Sub => {
+                let current = self.eval(target, frame)?;
+                self.binary(BinOp::Sub, &current, &rhs)?
+            }
+        };
+        self.assign(target, value.clone(), frame)?;
+        Ok(value)
+    }
+
+    fn eval_update(&mut self, expr: &Expr, frame: u32) -> Result<Value, ScriptError> {
+        let Expr::Update { op, prefix, target } = expr else {
+            unreachable!("dispatched on Expr::Update")
+        };
+        let current = self.eval(target, frame)?.to_number();
+        let updated = match op {
+            UpdateOp::Increment => current + 1.0,
+            UpdateOp::Decrement => current - 1.0,
+        };
+        self.assign(target, Value::Number(updated), frame)?;
+        Ok(Value::Number(if *prefix { updated } else { current }))
+    }
+
+    fn eval_member(&mut self, expr: &Expr, frame: u32) -> Result<Value, ScriptError> {
+        let Expr::Member { object, property } = expr else {
+            unreachable!("dispatched on Expr::Member")
+        };
+        let object = self.eval(object, frame)?;
+        let key = self.member_key(property, frame)?;
+        self.get_member(object, &key)
+    }
+
+    fn eval_call(&mut self, expr: &Expr, frame: u32) -> Result<Value, ScriptError> {
+        let Expr::Call { callee, args } = expr else {
+            unreachable!("dispatched on Expr::Call")
+        };
+        let (function, this) = self.callee(callee, frame)?;
+        let args = self.eval_args(args, frame)?;
+        self.call(function, this, args)
+    }
+
+    /// The function a call expression calls and the `this` it is called on:
+    /// the object of a method call, otherwise `undefined`.
+    fn callee(&mut self, callee: &Expr, frame: u32) -> Result<(Value, Value), ScriptError> {
+        match callee {
+            Expr::Member { object, property } => {
+                let this = self.eval(object, frame)?;
+                self.method(this, property, frame)
+            }
+            _ => Ok((self.eval(callee, frame)?, Value::Undefined)),
+        }
+    }
+
+    /// The method `this[property]`, paired with `this`.
+    fn method(
+        &mut self,
+        this: Value,
+        property: &MemberKey,
+        frame: u32,
+    ) -> Result<(Value, Value), ScriptError> {
+        let key = self.member_key(property, frame)?;
+        let function = self.get_member(this.clone(), &key)?;
+        Ok((function, this))
+    }
+
+    fn eval_new(&mut self, expr: &Expr, frame: u32) -> Result<Value, ScriptError> {
+        let Expr::New { callee, args } = expr else {
+            unreachable!("dispatched on Expr::New")
+        };
+        let function = self.eval(callee, frame)?;
+        let args = self.eval_args(args, frame)?;
+        self.construct(function, args)
+    }
+
+    fn member_key(&mut self, property: &MemberKey, frame: u32) -> Result<Key, ScriptError> {
         match property {
-            MemberKey::Static(name) => Ok(name.clone()),
+            MemberKey::Static(name) => Ok(Key::Name(Rc::clone(name))),
             MemberKey::Computed(expr) => {
-                let value = self.eval(expr, scope)?;
-                Ok(value.to_string())
+                let value = self.eval(expr, frame)?;
+                Ok(key_of(value))
             }
         }
     }
 
     // ------------------------------------------------------------- operators
 
-    fn binary(&mut self, op: BinOp, left: Value, right: Value) -> Result<Value, ScriptError> {
+    fn binary(&mut self, op: BinOp, left: &Value, right: &Value) -> Result<Value, ScriptError> {
         use BinOp::*;
         let value = match op {
             Add => {
                 if matches!(left, Value::Str(_)) || matches!(right, Value::Str(_)) {
-                    Value::Str(format!("{left}{right}"))
-                } else {
-                    Value::Number(left.to_number() + right.to_number())
+                    return self.concat(left, right);
                 }
+                Value::Number(left.to_number() + right.to_number())
             }
             Sub => Value::Number(left.to_number() - right.to_number()),
             Mul => Value::Number(left.to_number() * right.to_number()),
             Div => Value::Number(left.to_number() / right.to_number()),
             Rem => Value::Number(left.to_number() % right.to_number()),
-            Lt => Value::Bool(self.compare(&left, &right, |o| o == std::cmp::Ordering::Less)),
-            Gt => Value::Bool(self.compare(&left, &right, |o| o == std::cmp::Ordering::Greater)),
-            Le => Value::Bool(self.compare(&left, &right, |o| o != std::cmp::Ordering::Greater)),
-            Ge => Value::Bool(self.compare(&left, &right, |o| o != std::cmp::Ordering::Less)),
-            StrictEq => Value::Bool(strict_eq(&left, &right)),
-            StrictNotEq => Value::Bool(!strict_eq(&left, &right)),
-            Eq => Value::Bool(loose_eq(&left, &right)),
-            NotEq => Value::Bool(!loose_eq(&left, &right)),
+            Lt => Value::Bool(compare(left, right, |o| o == std::cmp::Ordering::Less)),
+            Gt => Value::Bool(compare(left, right, |o| o == std::cmp::Ordering::Greater)),
+            Le => Value::Bool(compare(left, right, |o| o != std::cmp::Ordering::Greater)),
+            Ge => Value::Bool(compare(left, right, |o| o != std::cmp::Ordering::Less)),
+            StrictEq => Value::Bool(strict_eq(left, right)),
+            StrictNotEq => Value::Bool(!strict_eq(left, right)),
+            Eq => Value::Bool(loose_eq(left, right)),
+            NotEq => Value::Bool(!loose_eq(left, right)),
         };
         Ok(value)
     }
 
-    fn compare<F: Fn(std::cmp::Ordering) -> bool>(
-        &self,
-        left: &Value,
-        right: &Value,
-        check: F,
-    ) -> bool {
-        if let (Value::Str(a), Value::Str(b)) = (left, right) {
-            return check(a.cmp(b));
-        }
-        let (a, b) = (left.to_number(), right.to_number());
-        match a.partial_cmp(&b) {
-            Some(ordering) => check(ordering),
-            None => false,
-        }
+    /// String concatenation, charged before the result is built: string
+    /// operands by their length, the printed form of any other operand (a few
+    /// dozen bytes at most) once it is written.
+    fn concat(&mut self, left: &Value, right: &Value) -> Result<Value, ScriptError> {
+        let known = left.as_str().map_or(0, str::len) + right.as_str().map_or(0, str::len);
+        self.spend(known)?;
+        let mut text = std::mem::take(&mut self.scratch);
+        text.clear();
+        write!(text, "{left}{right}").expect("writing to a String cannot fail");
+        let charged = self.spend(text.len() - known);
+        let value = charged.map(|()| Value::Str(Rc::from(text.as_str())));
+        self.scratch = text;
+        value
     }
 
     // ------------------------------------------------------------- assignment
 
-    fn assign(&mut self, target: &Expr, value: Value, scope: usize) -> Result<(), ScriptError> {
+    fn assign(&mut self, target: &Expr, value: Value, frame: u32) -> Result<(), ScriptError> {
         match target {
-            Expr::Ident(name) => {
-                if !self.assign_existing(scope, name, value.clone()) {
-                    // Implicit global, like sloppy-mode JavaScript.
-                    self.declare(0, name, value);
-                }
+            Expr::Ident(var) => {
+                self.write(var, frame, value);
                 Ok(())
             }
             Expr::Member { object, property } => {
-                let object_value = self.eval(object, scope)?;
-                let key = self.member_key(property, scope)?;
+                let object_value = self.eval(object, frame)?;
+                let key = self.member_key(property, frame)?;
                 self.set_member(object_value, &key, value)
             }
             _ => Err(ScriptError::Runtime("invalid assignment target".into())),
@@ -520,47 +795,50 @@ impl<'h> Interpreter<'h> {
 
     // ------------------------------------------------------------- member access
 
-    fn get_member(&mut self, object: Value, key: &str) -> Result<Value, ScriptError> {
+    fn get_member(&mut self, object: Value, key: &Key) -> Result<Value, ScriptError> {
         match object {
             Value::Str(s) => match key {
-                "length" => Ok(Value::Number(s.chars().count() as f64)),
-                "indexOf" => {
-                    let bound = self.alloc(Obj {
-                        callable: Some(Callable::Native(NativeFn::IndexOf)),
-                        ..Obj::default()
-                    });
+                Key::Name(name) if &**name == "length" => {
+                    Ok(Value::Number(s.chars().count() as f64))
+                }
+                Key::Name(name) if &**name == "indexOf" => {
+                    let bound = self.alloc(Obj::native_fn(NativeFn::IndexOf));
                     if let Value::Object(id) = bound {
                         self.obj_mut(id)
                             .props
-                            .insert("__this".into(), Value::Str(s));
+                            .insert(Rc::from("__this"), Value::Str(s));
                     }
                     Ok(bound)
                 }
                 _ => Ok(Value::Undefined),
             },
             Value::Object(id) => {
-                if let Some(tag) = self.obj(id).native {
-                    if let Some(value) = self.native_get(tag, key)? {
+                if let (Some(tag), Key::Name(name)) = (self.obj(id).native, key) {
+                    if let Some(value) = self.native_get(tag, name)? {
                         return Ok(value);
                     }
                 }
-                if let Some(elements) = &self.obj(id).elements {
-                    if key == "length" {
-                        return Ok(Value::Number(elements.len() as f64));
-                    }
-                    if key == "push" {
-                        return Ok(self.alloc(Obj::native_fn(NativeFn::ArrayPush)));
-                    }
-                    if let Ok(index) = key.parse::<usize>() {
+                let obj = self.obj(id);
+                if let Some(elements) = &obj.elements {
+                    let index = match key {
+                        Key::Index(index) => Some(*index),
+                        Key::Name(name) if &**name == "length" => {
+                            return Ok(Value::Number(elements.len() as f64));
+                        }
+                        Key::Name(name) if &**name == "push" => {
+                            return Ok(self.alloc(Obj::native_fn(NativeFn::ArrayPush)));
+                        }
+                        Key::Name(name) => name.parse::<usize>().ok(),
+                    };
+                    if let Some(index) = index {
                         return Ok(elements.get(index).cloned().unwrap_or(Value::Undefined));
                     }
                 }
-                Ok(self
-                    .obj(id)
-                    .props
-                    .get(key)
-                    .cloned()
-                    .unwrap_or(Value::Undefined))
+                let value = match key {
+                    Key::Name(name) => obj.props.get(&**name),
+                    Key::Index(index) => obj.props.get(index.to_string().as_str()),
+                };
+                Ok(value.cloned().unwrap_or(Value::Undefined))
             }
             Value::Undefined | Value::Null => Err(ScriptError::Runtime(format!(
                 "cannot read property `{key}` of {object}"
@@ -569,30 +847,38 @@ impl<'h> Interpreter<'h> {
         }
     }
 
-    fn set_member(&mut self, object: Value, key: &str, value: Value) -> Result<(), ScriptError> {
-        match object {
-            Value::Object(id) => {
-                if let Some(tag) = self.obj(id).native {
-                    if self.native_set(tag, key, &value)? {
-                        return Ok(());
-                    }
-                }
-                if let Some(elements) = &mut self.obj_mut(id).elements {
-                    if let Ok(index) = key.parse::<usize>() {
-                        if index >= elements.len() {
-                            elements.resize(index + 1, Value::Undefined);
-                        }
-                        elements[index] = value;
-                        return Ok(());
-                    }
-                }
-                self.obj_mut(id).props.insert(key.to_string(), value);
-                Ok(())
+    fn set_member(&mut self, object: Value, key: &Key, value: Value) -> Result<(), ScriptError> {
+        let Value::Object(id) = object else {
+            return Err(ScriptError::Runtime(format!(
+                "cannot set property `{key}` on {object}"
+            )));
+        };
+        if let (Some(tag), Key::Name(name)) = (self.obj(id).native, key) {
+            if self.native_set(tag, name, &value)? {
+                return Ok(());
             }
-            other => Err(ScriptError::Runtime(format!(
-                "cannot set property `{key}` on {other}"
-            ))),
         }
+        if let Some(elements) = &self.obj(id).elements {
+            let index = match key {
+                Key::Index(index) => Some(*index),
+                Key::Name(name) => name.parse::<usize>().ok(),
+            };
+            if let Some(index) = index {
+                let len = elements.len();
+                if index >= len {
+                    let growth = (index - len).saturating_add(1);
+                    self.spend(growth.saturating_mul(std::mem::size_of::<Value>()))?;
+                }
+                let elements = self.obj_mut(id).elements.as_mut().expect("an array");
+                if index >= len {
+                    elements.resize(index + 1, Value::Undefined);
+                }
+                elements[index] = value;
+                return Ok(());
+            }
+        }
+        self.obj_mut(id).props.insert(key.name(), value);
+        Ok(())
     }
 
     // ------------------------------------------------------------- calls
@@ -608,40 +894,33 @@ impl<'h> Interpreter<'h> {
                 "{function} is not a function"
             )));
         };
-        let callable = self
-            .obj(id)
-            .callable
-            .clone()
-            .ok_or_else(|| ScriptError::Runtime("value is not callable".into()))?;
-        match callable {
-            Callable::User {
-                params,
-                body,
-                scope,
-            } => {
-                if self.call_depth >= MAX_CALL_DEPTH {
-                    return Err(ScriptError::CallDepthExceeded);
-                }
-                let call_scope = self.scopes.len();
-                self.scopes.push(Scope {
-                    vars: HashMap::new(),
-                    parent: Some(scope),
-                });
-                for (index, param) in params.iter().enumerate() {
-                    let value = args.get(index).cloned().unwrap_or(Value::Undefined);
-                    self.declare(call_scope, param, value);
-                }
-                self.declare(call_scope, "this", this);
-                self.call_depth += 1;
-                let flow = self.exec_block(&body, call_scope);
-                self.call_depth -= 1;
-                Ok(match flow? {
-                    Flow::Return(value) => value,
-                    _ => Value::Undefined,
-                })
+        let (function, scope) = match &self.obj(id).callable {
+            Some(Callable::User { function, scope }) => (Rc::clone(function), *scope),
+            Some(Callable::Native(native)) => {
+                let native = *native;
+                return self.call_native(native, id, this, args);
             }
-            Callable::Native(native) => self.call_native(native, id, this, args),
+            None => return Err(ScriptError::Runtime("value is not callable".into())),
+        };
+        if self.call_depth >= MAX_CALL_DEPTH {
+            return Err(ScriptError::CallDepthExceeded);
         }
+        self.charge((function.slots.len() + args.len()) as u64)?;
+        let frame = self.push_frame(scope, function.slots.len());
+        let slots = &mut self.frames[frame as usize].slots;
+        let mut args = args.into_iter();
+        for &slot in &function.param_slots {
+            slots[slot as usize] = Some(args.next().unwrap_or(Value::Undefined));
+        }
+        slots[function.this_slot as usize] = Some(this);
+        self.call_depth += 1;
+        let flow = self.exec_block(&function.body, frame);
+        self.call_depth -= 1;
+        self.pop_frame(frame);
+        Ok(match flow? {
+            Flow::Return(value) => value,
+            _ => Value::Undefined,
+        })
     }
 
     fn construct(&mut self, function: Value, args: Vec<Value>) -> Result<Value, ScriptError> {
@@ -650,7 +929,7 @@ impl<'h> Interpreter<'h> {
                 "{function} is not a constructor"
             )));
         };
-        match self.obj(id).callable.clone() {
+        match &self.obj(id).callable {
             Some(Callable::Native(NativeFn::XhrConstructor)) => {
                 let handle = self.host.xhr_create()?;
                 Ok(self.alloc(Obj::native(NativeTag::Xhr(handle))))
@@ -680,45 +959,46 @@ impl<'h> Interpreter<'h> {
     }
 
     fn native_get(&mut self, tag: NativeTag, key: &str) -> Result<Option<Value>, ScriptError> {
-        let make_fn = |interp: &mut Self, f: NativeFn| Some(interp.alloc(Obj::native_fn(f)));
+        let function = match (tag, key) {
+            (NativeTag::Document, "getElementById") => NativeFn::GetElementById,
+            (NativeTag::Document, "getElementsByTagName") => NativeFn::GetElementsByTagName,
+            (NativeTag::Document, "createElement") => NativeFn::CreateElement,
+            (NativeTag::Document, "createTextNode") => NativeFn::CreateTextNode,
+            (NativeTag::Document, "write") => NativeFn::DocumentWrite,
+            (NativeTag::Node(_), "appendChild") => NativeFn::AppendChild,
+            (NativeTag::Node(_), "removeChild") => NativeFn::RemoveChild,
+            (NativeTag::Node(_), "setAttribute") => NativeFn::SetAttribute,
+            (NativeTag::Node(_), "getAttribute") => NativeFn::GetAttribute,
+            (NativeTag::Xhr(_), "open") => NativeFn::XhrOpen,
+            (NativeTag::Xhr(_), "send") => NativeFn::XhrSend,
+            (NativeTag::Xhr(_), "setRequestHeader") => NativeFn::XhrSetRequestHeader,
+            (NativeTag::History, "back") => NativeFn::HistoryBack,
+            (NativeTag::Console, "log") => NativeFn::ConsoleLog,
+            _ => return self.native_property(tag, key),
+        };
+        Ok(Some(self.alloc(Obj::native_fn(function))))
+    }
+
+    fn native_property(&mut self, tag: NativeTag, key: &str) -> Result<Option<Value>, ScriptError> {
+        let text = |text: String| Some(Value::Str(Rc::from(text)));
         let value = match (tag, key) {
-            (NativeTag::Document, "getElementById") => make_fn(self, NativeFn::GetElementById),
-            (NativeTag::Document, "getElementsByTagName") => {
-                make_fn(self, NativeFn::GetElementsByTagName)
-            }
-            (NativeTag::Document, "createElement") => make_fn(self, NativeFn::CreateElement),
-            (NativeTag::Document, "createTextNode") => make_fn(self, NativeFn::CreateTextNode),
-            (NativeTag::Document, "write") => make_fn(self, NativeFn::DocumentWrite),
-            (NativeTag::Document, "cookie") => Some(Value::Str(self.host.cookie_get()?)),
+            (NativeTag::Document, "cookie") => text(self.host.cookie_get()?),
             (NativeTag::Document, "body") => match self.host.document_body()? {
                 Some(node) => Some(self.wrap_node(node)),
                 None => Some(Value::Null),
             },
-            (NativeTag::Node(_), "appendChild") => make_fn(self, NativeFn::AppendChild),
-            (NativeTag::Node(_), "removeChild") => make_fn(self, NativeFn::RemoveChild),
-            (NativeTag::Node(_), "setAttribute") => make_fn(self, NativeFn::SetAttribute),
-            (NativeTag::Node(_), "getAttribute") => make_fn(self, NativeFn::GetAttribute),
-            (NativeTag::Node(node), "innerHTML") => {
-                Some(Value::Str(self.host.get_inner_html(node)?))
+            (NativeTag::Node(node), "innerHTML") => text(self.host.get_inner_html(node)?),
+            (NativeTag::Node(node), "textContent") => text(self.host.get_text_content(node)?),
+            (NativeTag::Node(node), "tagName") => text(self.host.tag_name(node)?),
+            (NativeTag::Node(node), "id") => {
+                text(self.host.get_attribute(node, "id")?.unwrap_or_default())
             }
-            (NativeTag::Node(node), "textContent") => {
-                Some(Value::Str(self.host.get_text_content(node)?))
-            }
-            (NativeTag::Node(node), "tagName") => Some(Value::Str(self.host.tag_name(node)?)),
-            (NativeTag::Node(node), "id") => Some(Value::Str(
-                self.host.get_attribute(node, "id")?.unwrap_or_default(),
-            )),
-            (NativeTag::Xhr(_), "open") => make_fn(self, NativeFn::XhrOpen),
-            (NativeTag::Xhr(_), "send") => make_fn(self, NativeFn::XhrSend),
-            (NativeTag::Xhr(_), "setRequestHeader") => make_fn(self, NativeFn::XhrSetRequestHeader),
             (NativeTag::History, "length") => {
                 Some(Value::Number(self.host.history_length()? as f64))
             }
-            (NativeTag::History, "back") => make_fn(self, NativeFn::HistoryBack),
-            (NativeTag::Console, "log") => make_fn(self, NativeFn::ConsoleLog),
-            (NativeTag::Window, "document") => self.lookup(0, "document"),
-            (NativeTag::Window, "history") => self.lookup(0, "history"),
-            (NativeTag::Window, "alert") => self.lookup(0, "alert"),
+            (NativeTag::Window, "document") => self.globals[DOCUMENT_SLOT].clone(),
+            (NativeTag::Window, "history") => self.globals[HISTORY_SLOT].clone(),
+            (NativeTag::Window, "alert") => self.globals[ALERT_SLOT].clone(),
             _ => None,
         };
         Ok(value)
@@ -732,15 +1012,11 @@ impl<'h> Interpreter<'h> {
     ) -> Result<bool, ScriptError> {
         match (tag, key) {
             (NativeTag::Document, "cookie") => {
-                self.host.cookie_set(&value.to_string())?;
+                self.host.cookie_set(&text(value))?;
                 Ok(true)
             }
-            (NativeTag::Node(node), "innerHTML") => {
-                self.host.set_inner_html(node, &value.to_string())?;
-                Ok(true)
-            }
-            (NativeTag::Node(node), "textContent") => {
-                self.host.set_inner_html(node, &value.to_string())?;
+            (NativeTag::Node(node), "innerHTML" | "textContent") => {
+                self.host.set_inner_html(node, &text(value))?;
                 Ok(true)
             }
             _ => Ok(false),
@@ -754,57 +1030,54 @@ impl<'h> Interpreter<'h> {
         this: Value,
         args: Vec<Value>,
     ) -> Result<Value, ScriptError> {
-        let arg = |index: usize| args.get(index).cloned().unwrap_or(Value::Undefined);
+        let undefined = Value::Undefined;
+        let arg = |index: usize| args.get(index).unwrap_or(&undefined);
         match native {
-            NativeFn::GetElementById => {
-                let id = arg(0).to_string();
-                match self.host.get_element_by_id(&id)? {
-                    Some(node) => Ok(self.wrap_node(node)),
-                    None => Ok(Value::Null),
-                }
-            }
+            NativeFn::GetElementById => match self.host.get_element_by_id(&text(arg(0)))? {
+                Some(node) => Ok(self.wrap_node(node)),
+                None => Ok(Value::Null),
+            },
             NativeFn::GetElementsByTagName => {
-                let tag = arg(0).to_string();
-                let nodes = self.host.get_elements_by_tag_name(&tag)?;
-                let wrapped: Vec<Value> = nodes.into_iter().map(|n| self.wrap_node(n)).collect();
+                let nodes = self.host.get_elements_by_tag_name(&text(arg(0)))?;
+                let per_node = std::mem::size_of::<Obj>() + std::mem::size_of::<Value>();
+                self.spend(nodes.len().saturating_mul(per_node))?;
+                let wrapped = nodes.into_iter().map(|n| self.wrap_node(n)).collect();
                 Ok(self.alloc(Obj::array(wrapped)))
             }
             NativeFn::CreateElement => {
-                let tag = arg(0).to_string();
-                let node = self.host.create_element(&tag)?;
+                let node = self.host.create_element(&text(arg(0)))?;
                 Ok(self.wrap_node(node))
             }
             NativeFn::CreateTextNode => {
-                let text = arg(0).to_string();
-                let node = self.host.create_text_node(&text)?;
+                let node = self.host.create_text_node(&text(arg(0)))?;
                 Ok(self.wrap_node(node))
             }
             NativeFn::DocumentWrite => {
-                self.host.document_write(&arg(0).to_string())?;
+                self.host.document_write(&text(arg(0)))?;
                 Ok(Value::Undefined)
             }
             NativeFn::AppendChild => {
                 let parent = self.expect_node(&this, "appendChild")?;
-                let child = self.expect_node(&arg(0), "appendChild")?;
+                let child = self.expect_node(arg(0), "appendChild")?;
                 self.host.append_child(parent, child)?;
-                Ok(arg(0))
+                Ok(arg(0).clone())
             }
             NativeFn::RemoveChild => {
                 let parent = self.expect_node(&this, "removeChild")?;
-                let child = self.expect_node(&arg(0), "removeChild")?;
+                let child = self.expect_node(arg(0), "removeChild")?;
                 self.host.remove_child(parent, child)?;
-                Ok(arg(0))
+                Ok(arg(0).clone())
             }
             NativeFn::SetAttribute => {
                 let node = self.expect_node(&this, "setAttribute")?;
                 self.host
-                    .set_attribute(node, &arg(0).to_string(), &arg(1).to_string())?;
+                    .set_attribute(node, &text(arg(0)), &text(arg(1)))?;
                 Ok(Value::Undefined)
             }
             NativeFn::GetAttribute => {
                 let node = self.expect_node(&this, "getAttribute")?;
-                match self.host.get_attribute(node, &arg(0).to_string())? {
-                    Some(value) => Ok(Value::Str(value)),
+                match self.host.get_attribute(node, &text(arg(0)))? {
+                    Some(value) => Ok(Value::Str(Rc::from(value))),
                     None => Ok(Value::Null),
                 }
             }
@@ -814,14 +1087,13 @@ impl<'h> Interpreter<'h> {
             }
             NativeFn::XhrOpen => {
                 let xhr = self.expect_xhr(&this)?;
-                self.host
-                    .xhr_open(xhr, &arg(0).to_string(), &arg(1).to_string())?;
+                self.host.xhr_open(xhr, &text(arg(0)), &text(arg(1)))?;
                 Ok(Value::Undefined)
             }
             NativeFn::XhrSetRequestHeader => {
                 let xhr = self.expect_xhr(&this)?;
                 self.host
-                    .xhr_set_request_header(xhr, &arg(0).to_string(), &arg(1).to_string())?;
+                    .xhr_set_request_header(xhr, &text(arg(0)), &text(arg(1)))?;
                 Ok(Value::Undefined)
             }
             NativeFn::XhrSend => {
@@ -836,12 +1108,10 @@ impl<'h> Interpreter<'h> {
                 // `xhr.status` and `xhr.responseText`.
                 if let Value::Object(id) = &this {
                     let obj = self.obj_mut(*id);
-                    obj.props.insert(
-                        "status".to_string(),
-                        Value::Number(f64::from(outcome.status)),
-                    );
                     obj.props
-                        .insert("responseText".to_string(), Value::Str(outcome.body));
+                        .insert(Rc::from("status"), Value::Number(f64::from(outcome.status)));
+                    obj.props
+                        .insert(Rc::from("responseText"), Value::Str(Rc::from(outcome.body)));
                 }
                 Ok(Value::Undefined)
             }
@@ -850,7 +1120,7 @@ impl<'h> Interpreter<'h> {
                 Ok(Value::Undefined)
             }
             NativeFn::Alert => {
-                self.host.alert(&arg(0).to_string());
+                self.host.alert(&text(arg(0)));
                 Ok(Value::Undefined)
             }
             NativeFn::ConsoleLog => {
@@ -864,7 +1134,7 @@ impl<'h> Interpreter<'h> {
             }
             NativeFn::ArrayPush => {
                 if let Value::Object(id) = &this {
-                    let value = arg(0);
+                    let value = arg(0).clone();
                     if let Some(elements) = &mut self.obj_mut(*id).elements {
                         elements.push(value);
                         return Ok(Value::Number(elements.len() as f64));
@@ -880,10 +1150,10 @@ impl<'h> Interpreter<'h> {
                     .get("__this")
                     .cloned()
                     .unwrap_or(this);
-                let haystack = receiver.to_string();
-                let needle = arg(0).to_string();
+                let haystack = text(&receiver);
+                let needle = text(arg(0));
                 let index = haystack
-                    .find(&needle)
+                    .find(&*needle)
                     .map(|byte| haystack[..byte].chars().count() as f64)
                     .unwrap_or(-1.0);
                 Ok(Value::Number(index))
@@ -900,6 +1170,35 @@ impl<'h> Interpreter<'h> {
         Err(ScriptError::Runtime(
             "method must be called on an XMLHttpRequest".into(),
         ))
+    }
+}
+
+/// The property key a computed member access uses.
+fn key_of(value: Value) -> Key {
+    match value {
+        // The index a whole number's decimal text parses to.
+        Value::Number(n) if n >= 0.0 && n.fract() == 0.0 && n < 1e15 => Key::Index(n as usize),
+        Value::Str(s) => Key::Name(s),
+        other => Key::Name(Rc::from(other.to_string())),
+    }
+}
+
+/// A value's string form, borrowed when it is a string.
+fn text(value: &Value) -> std::borrow::Cow<'_, str> {
+    match value {
+        Value::Str(s) => std::borrow::Cow::Borrowed(s),
+        other => std::borrow::Cow::Owned(other.to_string()),
+    }
+}
+
+fn compare(left: &Value, right: &Value, check: impl Fn(std::cmp::Ordering) -> bool) -> bool {
+    if let (Value::Str(a), Value::Str(b)) = (left, right) {
+        return check(a.cmp(b));
+    }
+    let (a, b) = (left.to_number(), right.to_number());
+    match a.partial_cmp(&b) {
+        Some(ordering) => check(ordering),
+        None => false,
     }
 }
 
@@ -1267,14 +1566,14 @@ mod tests {
                     "function h(n) {{ if (n == 0) {{ return 0; }} return 1 + h(n - 1); }} h({});",
                     MAX_CALL_DEPTH - 1
                 ));
-                (bomb, wide, bounded)
+                [bomb, wide, bounded].map(|outcome| outcome.map(|value| value.to_string()))
             })
             .expect("spawn test thread")
             .join()
             .expect("the bomb must not take the thread down");
-        assert_eq!(outcome.0, Err(ScriptError::CallDepthExceeded));
-        assert_eq!(outcome.1, Err(ScriptError::CallDepthExceeded));
-        assert_eq!(outcome.2, Ok(Value::Number((MAX_CALL_DEPTH - 1) as f64)));
+        assert_eq!(outcome[0], Err(ScriptError::CallDepthExceeded));
+        assert_eq!(outcome[1], Err(ScriptError::CallDepthExceeded));
+        assert_eq!(outcome[2], Ok((MAX_CALL_DEPTH - 1).to_string()));
     }
 
     #[test]
@@ -1311,5 +1610,235 @@ mod tests {
     fn history_is_reachable() {
         assert_eq!(run("history.length;"), Value::Number(1.0));
         assert_eq!(run("window.history.length;"), Value::Number(1.0));
+    }
+
+    /// Runs `probe` on a thread with an explicit 2 MiB stack, the size test
+    /// and worker threads get by default.
+    fn on_small_stack<T: Send + 'static>(probe: impl FnOnce() -> T + Send + 'static) -> T {
+        std::thread::Builder::new()
+            .stack_size(2 * 1024 * 1024)
+            .spawn(probe)
+            .expect("spawn probe thread")
+            .join()
+            .expect("the probe must not take the thread down")
+    }
+
+    #[test]
+    fn call_frames_are_freed_on_return_unless_captured() {
+        let mut host = MockHost::new();
+        let mut interp = Interpreter::new(&mut host);
+        interp
+            .run("function f(a) { var b = a; return b; } for (var i = 0; i < 10000; i++) { f(i); }")
+            .unwrap();
+        assert_eq!(interp.live_frames(), 1, "only the global scope is left");
+
+        // Each call of `mk` creates a closure over its frame, so those stay.
+        let value = interp
+            .run(
+                "function mk(n) { return function() { return n; }; } \
+                 var kept = []; for (var j = 0; j < 10000; j++) { f(j); if (j % 1000 == 0) { kept.push(mk(j)); } } \
+                 kept[3]();",
+            )
+            .unwrap();
+        assert_eq!(value, Value::Number(3000.0));
+        assert_eq!(interp.live_frames(), 1 + 10);
+    }
+
+    #[test]
+    fn a_call_is_charged_per_parameter_and_argument() {
+        let params: Vec<String> = (0..100).map(|i| format!("p{i}")).collect();
+        let source = format!(
+            "function f({}) {{ return p0; }} for (;;) {{ f({}); console.log('call'); }}",
+            params.join(", "),
+            params.join(", ").replace('p', ""),
+        );
+        let limit = 100_000;
+        let mut host = MockHost::new();
+        let err = Interpreter::new(&mut host)
+            .with_step_limit(limit)
+            .run(&source)
+            .unwrap_err();
+        assert_eq!(err, ScriptError::StepLimitExceeded);
+        let calls = host.messages.len() as u64;
+        assert!(calls > 0);
+        assert!(
+            calls <= limit / 100,
+            "{calls} calls of a 100-parameter function under a {limit}-step limit"
+        );
+    }
+
+    /// A source text with its nesting depth as the parameter.
+    type Shape = fn(usize) -> String;
+
+    /// The largest `k` whose `shape(k)` still parses, and the error one level
+    /// deeper.
+    fn deepest(shape: &dyn Fn(usize) -> String) -> (usize, ScriptError) {
+        let mut k = 1;
+        loop {
+            if let Err(error) = parse_program(&shape(k + 1)) {
+                return (k, error);
+            }
+            k += 1;
+        }
+    }
+
+    #[test]
+    fn every_nesting_shape_stops_at_one_bound_with_a_typed_error() {
+        let shapes: Vec<(&str, Shape)> = vec![
+            ("parentheses", |k| {
+                format!("{}1{};", "(".repeat(k), ")".repeat(k))
+            }),
+            ("brackets", |k| {
+                format!("{}1{};", "[".repeat(k), "]".repeat(k))
+            }),
+            ("objects", |k| {
+                format!("x = {}1{};", "{a: ".repeat(k), "}".repeat(k))
+            }),
+            ("blocks", |k| format!("{}{}", "{".repeat(k), "}".repeat(k))),
+            ("ifs", |k| format!("{}x;", "if (1) ".repeat(k))),
+            ("unary", |k| format!("{}1;", "!".repeat(k))),
+            ("assignments", |k| format!("{}1;", "x = ".repeat(k))),
+            ("conditionals", |k| {
+                format!("{}1{};", "1 ? ".repeat(k), " : 0".repeat(k))
+            }),
+            ("sums", |k| format!("1{};", " + 1".repeat(k))),
+            ("members", |k| format!("x{};", ".y".repeat(k))),
+            ("calls", |k| format!("f{};", "()".repeat(k))),
+            ("functions", |k| {
+                format!("{}{}", "function f() { ".repeat(k), "}".repeat(k))
+            }),
+        ];
+        for (name, shape) in shapes {
+            let (k, error) = deepest(&shape);
+            assert!(
+                matches!(error, ScriptError::NestingLimitExceeded { .. }),
+                "{name}: {error}"
+            );
+            assert!(k >= (MAX_NESTING / 4) as usize, "{name} stops at {k}");
+            // Far past the bound, on a small stack: a typed error, no abort.
+            let bomb = shape(100_000);
+            let outcome = on_small_stack(move || parse_program(&bomb).map(|_| ()));
+            assert!(
+                matches!(outcome, Err(ScriptError::NestingLimitExceeded { .. })),
+                "{name}: {outcome:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_deepest_tree_in_every_nested_call_fits_a_small_stack() {
+        // Each shape puts the recursive call at the bottom of the tallest tree
+        // the parser accepts, so every one of the MAX_CALL_DEPTH call levels
+        // recurses through a full tree before it calls the next.
+        let shapes: Vec<(&str, Shape)> = vec![
+            ("sums", |k| {
+                format!("return {}f(n + 1){};", "1 + (".repeat(k), ")".repeat(k))
+            }),
+            ("unary", |k| format!("return {}f(n + 1);", "- ".repeat(k))),
+            ("logical", |k| {
+                format!("return {}f(n + 1){};", "1 && (".repeat(k), ")".repeat(k))
+            }),
+            ("arguments", |k| {
+                format!(
+                    "return {}f(n + 1){};",
+                    "console.log(".repeat(k),
+                    ")".repeat(k)
+                )
+            }),
+            ("call chains", |k| {
+                format!("return f(n + 1){};", "()".repeat(k))
+            }),
+            ("arrays", |k| {
+                format!("return {}f(n + 1){};", "[".repeat(k), "]".repeat(k))
+            }),
+            ("members", |k| {
+                format!("return {}f(n + 1){};", "o[".repeat(k), "]".repeat(k))
+            }),
+            ("conditionals", |k| {
+                format!("return {}f(n + 1){};", "1 ? ".repeat(k), " : 0".repeat(k))
+            }),
+            ("assignments", |k| {
+                format!("return {}f(n + 1);", "o.x = ".repeat(k))
+            }),
+            ("ifs", |k| {
+                format!("{}return f(n + 1);", "if (1) ".repeat(k))
+            }),
+            ("blocks", |k| {
+                format!("{}return f(n + 1);{}", "{".repeat(k), "}".repeat(k))
+            }),
+        ];
+        for (name, body) in shapes {
+            let program = |k: usize| format!("var o = {{}}; function f(n) {{ {} }} f(0);", body(k));
+            let (k, _) = deepest(&program);
+            let source = program(k);
+            let outcome = on_small_stack(move || {
+                let mut host = MockHost::new();
+                Interpreter::new(&mut host).run(&source).map(|_| ())
+            });
+            assert_eq!(
+                outcome,
+                Err(ScriptError::CallDepthExceeded),
+                "{name} at {k}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_string_doubling_bomb_fails_closed_on_its_byte_budget() {
+        let outcome = on_small_stack(|| {
+            let mut host = MockHost::new();
+            Interpreter::new(&mut host)
+                .run("var s = 'xxxxxxxx'; for (;;) { s = s + s; }")
+                .map(|_| ())
+        });
+        assert_eq!(outcome, Err(ScriptError::ByteBudgetExceeded));
+    }
+
+    #[test]
+    fn an_array_index_bomb_fails_closed_on_its_byte_budget() {
+        let outcome = on_small_stack(|| {
+            let mut host = MockHost::new();
+            let bomb = Interpreter::new(&mut host)
+                .run("var a = []; a[30000000] = 1;")
+                .map(|_| ());
+            // Growth within the budget still works, holes read undefined.
+            let fine = Interpreter::new(&mut host)
+                .run("var b = []; b[1000] = 'end'; b.length + ':' + b[999] + ':' + b[1000];")
+                .map(|value| value.to_string());
+            (bomb, fine)
+        });
+        assert_eq!(outcome.0, Err(ScriptError::ByteBudgetExceeded));
+        assert_eq!(outcome.1, Ok("1001:undefined:end".to_string()));
+    }
+
+    #[test]
+    fn reads_before_a_declaration_fall_through_to_the_enclosing_scope() {
+        let source = "var x = 'g'; function f() { var out = ''; \
+                      for (var i = 0; i < 3; i++) { out += x; var x = 'l' + i; } return out; } f();";
+        assert_eq!(run(source), Value::Str("gl0l1".into()));
+        // A function declaration is not hoisted either.
+        let mut host = MockHost::new();
+        assert_eq!(
+            run_with(&mut host, "f(); function f() { return 1; }"),
+            Err(ScriptError::Runtime("`f` is not defined".into()))
+        );
+    }
+
+    #[test]
+    fn successive_runs_share_globals_and_window_reads_them() {
+        let mut host = MockHost::new();
+        let mut interp = Interpreter::new(&mut host);
+        interp
+            .run("var a = 1; function inc() { a++; b = 'implicit'; return a; }")
+            .unwrap();
+        assert_eq!(interp.run("inc(); inc();").unwrap(), Value::Number(3.0));
+        assert_eq!(
+            interp.run("a + b;").unwrap(),
+            Value::Str("3implicit".into())
+        );
+        assert_eq!(
+            interp.run("document = 5; window.document;").unwrap(),
+            Value::Number(5.0)
+        );
     }
 }

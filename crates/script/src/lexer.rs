@@ -1,18 +1,27 @@
 //! The tokenizer for the ECMAScript subset.
+//!
+//! The lexer borrows its input and scans byte offsets: identifiers and string
+//! literals without escapes are slices of the source, and operators are
+//! matched on bytes without building a string per token. Every delimiter it
+//! looks for is ASCII, so a multibyte character can never be split; it is
+//! decoded only where the character itself matters (whitespace tests and error
+//! messages). Lex-error positions count characters, not bytes, as they always
+//! have.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::error::ScriptError;
 
-/// A script token.
+/// A script token. Identifiers and escape-free strings borrow from the source.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Tok {
+pub enum Tok<'a> {
     /// Numeric literal.
     Number(f64),
     /// String literal (quotes removed, escapes processed).
-    Str(String),
+    Str(Cow<'a, str>),
     /// Identifier (not a keyword).
-    Ident(String),
+    Ident(&'a str),
     // Keywords.
     /// `var`
     Var,
@@ -117,7 +126,7 @@ pub enum Tok {
     Eof,
 }
 
-impl fmt::Display for Tok {
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::Number(n) => write!(f, "{n}"),
@@ -128,184 +137,184 @@ impl fmt::Display for Tok {
     }
 }
 
+/// A lex error at byte offset `at`, reported at its character index.
+fn error(source: &str, message: String, at: usize) -> ScriptError {
+    ScriptError::Lex {
+        message,
+        position: source[..at].chars().count(),
+    }
+}
+
 /// Tokenizes a complete script.
 ///
 /// # Errors
 ///
 /// Returns [`ScriptError::Lex`] for unterminated strings/comments or unexpected
 /// characters.
-pub fn tokenize(source: &str) -> Result<Vec<Tok>, ScriptError> {
-    let chars: Vec<char> = source.chars().collect();
-    let mut tokens = Vec::new();
+pub fn tokenize(source: &str) -> Result<Vec<Tok<'_>>, ScriptError> {
+    let bytes = source.as_bytes();
+    let mut tokens = Vec::with_capacity(source.len() / 3 + 1);
     let mut i = 0usize;
 
-    while i < chars.len() {
-        let c = chars[i];
-        // Whitespace.
-        if c.is_whitespace() {
+    while i < bytes.len() {
+        let b = bytes[i];
+        // Whitespace (Unicode whitespace, like `char::is_whitespace`).
+        if b.is_ascii_whitespace() || b == 0x0b {
             i += 1;
             continue;
         }
-        // Comments.
-        if c == '/' && chars.get(i + 1) == Some(&'/') {
-            while i < chars.len() && chars[i] != '\n' {
-                i += 1;
+        if b >= 0x80 {
+            let c = source[i..].chars().next().expect("a char starts here");
+            if c.is_whitespace() {
+                i += c.len_utf8();
+                continue;
             }
+            return Err(error(source, format!("unexpected character `{c}`"), i));
+        }
+        let next = bytes.get(i + 1).copied();
+        // Comments.
+        if b == b'/' && next == Some(b'/') {
+            i = source[i..].find('\n').map_or(bytes.len(), |n| i + n);
             continue;
         }
-        if c == '/' && chars.get(i + 1) == Some(&'*') {
-            let start = i;
-            i += 2;
-            loop {
-                if i + 1 >= chars.len() {
-                    return Err(ScriptError::Lex {
-                        message: "unterminated block comment".into(),
-                        position: start,
-                    });
+        if b == b'/' && next == Some(b'*') {
+            match source[i + 2..].find("*/") {
+                Some(end) => i += 2 + end + 2,
+                None => {
+                    return Err(error(source, "unterminated block comment".into(), i));
                 }
-                if chars[i] == '*' && chars[i + 1] == '/' {
-                    i += 2;
-                    break;
-                }
-                i += 1;
             }
             continue;
         }
         // Strings.
-        if c == '"' || c == '\'' {
-            let quote = c;
-            let start = i;
-            i += 1;
-            let mut value = String::new();
-            loop {
-                if i >= chars.len() {
-                    return Err(ScriptError::Lex {
-                        message: "unterminated string literal".into(),
-                        position: start,
-                    });
-                }
-                let sc = chars[i];
-                if sc == quote {
-                    i += 1;
-                    break;
-                }
-                if sc == '\\' {
-                    i += 1;
-                    let escaped = chars.get(i).copied().ok_or(ScriptError::Lex {
-                        message: "unterminated escape sequence".into(),
-                        position: start,
-                    })?;
-                    value.push(match escaped {
-                        'n' => '\n',
-                        't' => '\t',
-                        'r' => '\r',
-                        '0' => '\0',
-                        other => other,
-                    });
-                    i += 1;
-                    continue;
-                }
-                value.push(sc);
-                i += 1;
-            }
+        if b == b'"' || b == b'\'' {
+            let (value, end) = string_literal(source, i)?;
             tokens.push(Tok::Str(value));
+            i = end;
             continue;
         }
         // Numbers.
-        if c.is_ascii_digit() || (c == '.' && chars.get(i + 1).is_some_and(|d| d.is_ascii_digit()))
-        {
+        if b.is_ascii_digit() || (b == b'.' && next.is_some_and(|d| d.is_ascii_digit())) {
             let start = i;
-            while i < chars.len() && (chars[i].is_ascii_digit() || chars[i] == '.') {
+            while i < bytes.len() && (bytes[i].is_ascii_digit() || bytes[i] == b'.') {
                 i += 1;
             }
-            let text: String = chars[start..i].iter().collect();
-            let number = text.parse::<f64>().map_err(|_| ScriptError::Lex {
-                message: format!("invalid number literal `{text}`"),
-                position: start,
-            })?;
+            let text = &source[start..i];
+            let number = text
+                .parse::<f64>()
+                .map_err(|_| error(source, format!("invalid number literal `{text}`"), start))?;
             tokens.push(Tok::Number(number));
             continue;
         }
         // Identifiers / keywords.
-        if c.is_ascii_alphabetic() || c == '_' || c == '$' {
+        if b.is_ascii_alphabetic() || b == b'_' || b == b'$' {
             let start = i;
-            while i < chars.len()
-                && (chars[i].is_ascii_alphanumeric() || chars[i] == '_' || chars[i] == '$')
+            while i < bytes.len()
+                && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_' || bytes[i] == b'$')
             {
                 i += 1;
             }
-            let word: String = chars[start..i].iter().collect();
-            tokens.push(keyword_or_ident(&word));
+            tokens.push(keyword_or_ident(&source[start..i]));
             continue;
         }
         // Operators and punctuation (longest match first).
-        let three: String = chars[i..chars.len().min(i + 3)].iter().collect();
-        if three == "===" {
-            tokens.push(Tok::EqEqEq);
-            i += 3;
-            continue;
-        }
-        if three == "!==" {
-            tokens.push(Tok::NotEqEq);
-            i += 3;
-            continue;
-        }
-        let two: String = chars[i..chars.len().min(i + 2)].iter().collect();
-        let matched_two = match two.as_str() {
-            "==" => Some(Tok::EqEq),
-            "!=" => Some(Tok::NotEq),
-            "<=" => Some(Tok::Le),
-            ">=" => Some(Tok::Ge),
-            "&&" => Some(Tok::AndAnd),
-            "||" => Some(Tok::OrOr),
-            "++" => Some(Tok::PlusPlus),
-            "--" => Some(Tok::MinusMinus),
-            "+=" => Some(Tok::PlusAssign),
-            "-=" => Some(Tok::MinusAssign),
-            _ => None,
-        };
-        if let Some(token) = matched_two {
-            tokens.push(token);
-            i += 2;
-            continue;
-        }
-        let single = match c {
-            '(' => Tok::LParen,
-            ')' => Tok::RParen,
-            '{' => Tok::LBrace,
-            '}' => Tok::RBrace,
-            '[' => Tok::LBracket,
-            ']' => Tok::RBracket,
-            ';' => Tok::Semi,
-            ',' => Tok::Comma,
-            '.' => Tok::Dot,
-            ':' => Tok::Colon,
-            '?' => Tok::Question,
-            '=' => Tok::Assign,
-            '+' => Tok::Plus,
-            '-' => Tok::Minus,
-            '*' => Tok::Star,
-            '/' => Tok::Slash,
-            '%' => Tok::Percent,
-            '<' => Tok::Lt,
-            '>' => Tok::Gt,
-            '!' => Tok::Not,
-            other => {
-                return Err(ScriptError::Lex {
-                    message: format!("unexpected character `{other}`"),
-                    position: i,
-                })
+        let third = bytes.get(i + 2).copied();
+        let (token, width) = match (b, next, third) {
+            (b'=', Some(b'='), Some(b'=')) => (Tok::EqEqEq, 3),
+            (b'!', Some(b'='), Some(b'=')) => (Tok::NotEqEq, 3),
+            (b'=', Some(b'='), _) => (Tok::EqEq, 2),
+            (b'!', Some(b'='), _) => (Tok::NotEq, 2),
+            (b'<', Some(b'='), _) => (Tok::Le, 2),
+            (b'>', Some(b'='), _) => (Tok::Ge, 2),
+            (b'&', Some(b'&'), _) => (Tok::AndAnd, 2),
+            (b'|', Some(b'|'), _) => (Tok::OrOr, 2),
+            (b'+', Some(b'+'), _) => (Tok::PlusPlus, 2),
+            (b'-', Some(b'-'), _) => (Tok::MinusMinus, 2),
+            (b'+', Some(b'='), _) => (Tok::PlusAssign, 2),
+            (b'-', Some(b'='), _) => (Tok::MinusAssign, 2),
+            (b'(', ..) => (Tok::LParen, 1),
+            (b')', ..) => (Tok::RParen, 1),
+            (b'{', ..) => (Tok::LBrace, 1),
+            (b'}', ..) => (Tok::RBrace, 1),
+            (b'[', ..) => (Tok::LBracket, 1),
+            (b']', ..) => (Tok::RBracket, 1),
+            (b';', ..) => (Tok::Semi, 1),
+            (b',', ..) => (Tok::Comma, 1),
+            (b'.', ..) => (Tok::Dot, 1),
+            (b':', ..) => (Tok::Colon, 1),
+            (b'?', ..) => (Tok::Question, 1),
+            (b'=', ..) => (Tok::Assign, 1),
+            (b'+', ..) => (Tok::Plus, 1),
+            (b'-', ..) => (Tok::Minus, 1),
+            (b'*', ..) => (Tok::Star, 1),
+            (b'/', ..) => (Tok::Slash, 1),
+            (b'%', ..) => (Tok::Percent, 1),
+            (b'<', ..) => (Tok::Lt, 1),
+            (b'>', ..) => (Tok::Gt, 1),
+            (b'!', ..) => (Tok::Not, 1),
+            (other, ..) => {
+                return Err(error(
+                    source,
+                    format!("unexpected character `{}`", char::from(other)),
+                    i,
+                ))
             }
         };
-        tokens.push(single);
-        i += 1;
+        tokens.push(token);
+        i += width;
     }
 
     tokens.push(Tok::Eof);
     Ok(tokens)
 }
 
-fn keyword_or_ident(word: &str) -> Tok {
+/// Scans the string literal whose opening quote is at byte `start`. Returns
+/// the value (borrowed when it has no escape) and the offset past the closing
+/// quote.
+fn string_literal(source: &str, start: usize) -> Result<(Cow<'_, str>, usize), ScriptError> {
+    let bytes = source.as_bytes();
+    let quote = bytes[start];
+    let body = start + 1;
+    let unterminated = || error(source, "unterminated string literal".into(), start);
+    let Some(stop) = bytes[body..]
+        .iter()
+        .position(|&b| b == quote || b == b'\\')
+        .map(|n| body + n)
+    else {
+        return Err(unterminated());
+    };
+    if bytes[stop] == quote {
+        return Ok((Cow::Borrowed(&source[body..stop]), stop + 1));
+    }
+    let mut value = String::from(&source[body..stop]);
+    let mut i = stop;
+    loop {
+        let Some(c) = source[i..].chars().next() else {
+            return Err(unterminated());
+        };
+        if c == char::from(quote) {
+            return Ok((Cow::Owned(value), i + 1));
+        }
+        if c == '\\' {
+            let Some(escaped) = source[i + 1..].chars().next() else {
+                return Err(error(source, "unterminated escape sequence".into(), start));
+            };
+            value.push(match escaped {
+                'n' => '\n',
+                't' => '\t',
+                'r' => '\r',
+                '0' => '\0',
+                other => other,
+            });
+            i += 1 + escaped.len_utf8();
+            continue;
+        }
+        value.push(c);
+        i += c.len_utf8();
+    }
+}
+
+fn keyword_or_ident(word: &str) -> Tok<'_> {
     match word {
         "var" => Tok::Var,
         "let" => Tok::Let,
@@ -324,7 +333,7 @@ fn keyword_or_ident(word: &str) -> Tok {
         "undefined" => Tok::Undefined,
         "new" => Tok::New,
         "typeof" => Tok::Typeof,
-        _ => Tok::Ident(word.to_string()),
+        _ => Tok::Ident(word),
     }
 }
 
@@ -338,7 +347,7 @@ mod tests {
             tokenize("var x = document.getElementById('main'); x.innerHTML += \"<b>hi</b>\";")
                 .unwrap();
         assert!(tokens.contains(&Tok::Var));
-        assert!(tokens.contains(&Tok::Ident("document".into())));
+        assert!(tokens.contains(&Tok::Ident("document")));
         assert!(tokens.contains(&Tok::Dot));
         assert!(tokens.contains(&Tok::Str("main".into())));
         assert!(tokens.contains(&Tok::PlusAssign));
@@ -371,6 +380,13 @@ mod tests {
     }
 
     #[test]
+    fn identifiers_and_plain_strings_borrow_from_the_source() {
+        let tokens = tokenize("greeting = 'hello'; other = 'esc\\'aped';").unwrap();
+        assert!(matches!(tokens[2], Tok::Str(Cow::Borrowed("hello"))));
+        assert!(matches!(tokens[6], Tok::Str(Cow::Owned(_))));
+    }
+
+    #[test]
     fn comments_are_skipped() {
         let tokens = tokenize("var a = 1; // trailing\n/* block\ncomment */ var b = 2;").unwrap();
         let idents: Vec<&Tok> = tokens
@@ -385,8 +401,8 @@ mod tests {
         let tokens =
             tokenize("function functionName(newValue) { return typeof newValue; }").unwrap();
         assert_eq!(tokens[0], Tok::Function);
-        assert_eq!(tokens[1], Tok::Ident("functionName".into()));
-        assert!(tokens.contains(&Tok::Ident("newValue".into())));
+        assert_eq!(tokens[1], Tok::Ident("functionName"));
+        assert!(tokens.contains(&Tok::Ident("newValue")));
         assert!(tokens.contains(&Tok::Typeof));
     }
 
@@ -398,6 +414,19 @@ mod tests {
             tokenize("var x = @;"),
             Err(ScriptError::Lex { .. })
         ));
+    }
+
+    #[test]
+    fn error_positions_count_characters() {
+        let Err(ScriptError::Lex { position, message }) = tokenize("'日本' + é") else {
+            panic!("expected a lex error");
+        };
+        assert_eq!(position, 7);
+        assert_eq!(message, "unexpected character `é`");
+        let Err(ScriptError::Lex { position, .. }) = tokenize("x = 'é\\") else {
+            panic!("expected a lex error");
+        };
+        assert_eq!(position, 4);
     }
 
     #[test]

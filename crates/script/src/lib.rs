@@ -12,6 +12,23 @@
 //! aborts the script, since the subset has no `try`/`catch`), mirroring how the
 //! prototype's embedded checks stop an unauthorized access.
 //!
+//! # Pipeline
+//!
+//! [`Interpreter::run`] does work in proportion to a script's tokens and
+//! operations:
+//!
+//! 1. [`lexer`] scans the source by byte offset; identifiers and strings
+//!    without escapes borrow from it.
+//! 2. [`parser`] moves tokens into the tree, records each function's frame
+//!    layout (parameters, `this`, declared names), and refuses trees taller
+//!    than [`interp::MAX_NESTING`].
+//! 3. A resolver pass gives every identifier its candidate frame slots and its
+//!    global slot, so the evaluator never hashes a name.
+//! 4. [`interp`] walks the tree. Strings are shared (`Rc<str>`), call frames
+//!    return to a free list unless a closure captured them, and every limit
+//!    (steps, bytes, nesting, call depth) fails closed with a typed
+//!    [`ScriptError`]; the module docs describe the slot model and the limits.
+//!
 //! # Example
 //!
 //! ```
@@ -36,6 +53,7 @@ pub mod host;
 pub mod interp;
 pub mod lexer;
 pub mod parser;
+mod resolve;
 pub mod value;
 
 pub use error::ScriptError;

@@ -1,53 +1,99 @@
 //! The recursive-descent / Pratt parser for the ECMAScript subset.
+//!
+//! Tokens are moved out of the token vector, never cloned. While parsing a
+//! function the parser records every name the function declares (parameters,
+//! `this`, `var`s and nested function declarations) in the function's frame
+//! layout, which the resolver later turns into slot indices.
+//!
+//! One bound, [`MAX_NESTING`], limits both the parser's recursion (nested
+//! parentheses, brackets, braces, unary chains, right-associative assignment
+//! and conditional chains, nested blocks and function bodies) and the height
+//! of every tree it builds, including left-associative operator and member
+//! chains that the parser builds in a loop. The evaluator recurses once per
+//! tree level, so the same bound limits its recursion per call.
 
+use std::collections::HashMap;
 use std::rc::Rc;
 
-use crate::ast::{AssignOp, BinOp, Expr, LogicalOp, MemberKey, Stmt, UnOp, UpdateOp};
+use crate::ast::{
+    AssignOp, BinOp, Expr, Function, LogicalOp, MemberKey, Stmt, UnOp, UpdateOp, Var,
+};
 use crate::error::ScriptError;
+use crate::interp::MAX_NESTING;
 use crate::lexer::{tokenize, Tok};
 
-/// Parses a complete program into a list of statements.
+/// Parses a complete program into a list of statements. Identifiers are not
+/// resolved yet; [`Interpreter::run`](crate::Interpreter::run) resolves them.
 ///
 /// # Errors
 ///
-/// Returns [`ScriptError::Lex`] or [`ScriptError::Parse`] for malformed input.
+/// Returns [`ScriptError::Lex`] or [`ScriptError::Parse`] for malformed input,
+/// and [`ScriptError::NestingLimitExceeded`] for input nested deeper than
+/// [`MAX_NESTING`].
 pub fn parse_program(source: &str) -> Result<Vec<Stmt>, ScriptError> {
     let tokens = tokenize(source)?;
-    let mut parser = Parser { tokens, pos: 0 };
+    let mut parser = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+        functions: Vec::new(),
+    };
     let mut statements = Vec::new();
     while !parser.check(&Tok::Eof) {
-        statements.push(parser.statement()?);
+        statements.push(parser.statement()?.0);
     }
     Ok(statements)
 }
 
-struct Parser {
-    tokens: Vec<Tok>,
-    pos: usize,
+/// An expression or statement and the height of its tree.
+type Parsed<T> = Result<(T, u32), ScriptError>;
+
+/// The frame layout of a function being parsed.
+struct Layout<'a> {
+    slots: Vec<Rc<str>>,
+    index: HashMap<&'a str, u32>,
 }
 
-impl Parser {
-    fn peek(&self) -> &Tok {
+impl<'a> Layout<'a> {
+    fn declare(&mut self, name: &'a str, shared: &Rc<str>) -> u32 {
+        let next = self.slots.len() as u32;
+        let slot = *self.index.entry(name).or_insert(next);
+        if slot == next {
+            self.slots.push(Rc::clone(shared));
+        }
+        slot
+    }
+}
+
+struct Parser<'a> {
+    tokens: Vec<Tok<'a>>,
+    pos: usize,
+    /// Nesting of recursive parse calls in progress.
+    depth: u32,
+    /// Layouts of the functions being parsed, innermost last.
+    functions: Vec<Layout<'a>>,
+}
+
+impl<'a> Parser<'a> {
+    fn peek(&self) -> &Tok<'a> {
         self.tokens.get(self.pos).unwrap_or(&Tok::Eof)
     }
 
-    fn peek_ahead(&self, offset: usize) -> &Tok {
-        self.tokens.get(self.pos + offset).unwrap_or(&Tok::Eof)
-    }
-
-    fn advance(&mut self) -> Tok {
-        let token = self.peek().clone();
-        if self.pos < self.tokens.len() {
-            self.pos += 1;
+    fn advance(&mut self) -> Tok<'a> {
+        match self.tokens.get_mut(self.pos) {
+            Some(token) => {
+                self.pos += 1;
+                std::mem::replace(token, Tok::Eof)
+            }
+            None => Tok::Eof,
         }
-        token
     }
 
-    fn check(&self, expected: &Tok) -> bool {
+    fn check(&self, expected: &Tok<'_>) -> bool {
         self.peek() == expected
     }
 
-    fn eat(&mut self, expected: &Tok) -> bool {
+    fn eat(&mut self, expected: &Tok<'_>) -> bool {
         if self.check(expected) {
             self.advance();
             true
@@ -56,7 +102,7 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, expected: &Tok, context: &str) -> Result<(), ScriptError> {
+    fn expect(&mut self, expected: &Tok<'_>, context: &str) -> Result<(), ScriptError> {
         if self.eat(expected) {
             Ok(())
         } else {
@@ -74,20 +120,62 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self, context: &str) -> Result<String, ScriptError> {
+    fn ident(&mut self, context: &str) -> Result<&'a str, ScriptError> {
         match self.advance() {
             Tok::Ident(name) => Ok(name),
             other => Err(self.error(format!("expected identifier {context}, found {other:?}"))),
         }
     }
 
+    /// Enters one level of parser recursion.
+    fn enter(&mut self) -> Result<(), ScriptError> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        Ok(())
+    }
+
+    fn leave(&mut self) {
+        self.depth -= 1;
+    }
+
+    /// The height of a new node over children of height `below`.
+    fn node(&self, below: u32) -> Result<u32, ScriptError> {
+        if below >= MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        Ok(below + 1)
+    }
+
+    fn too_deep(&self) -> ScriptError {
+        ScriptError::NestingLimitExceeded { position: self.pos }
+    }
+
+    /// A declaration of `name` in the innermost function being parsed (at the
+    /// top level, declarations are globals and need no slot).
+    fn declaration(&mut self, name: &'a str) -> Var {
+        let shared: Rc<str> = Rc::from(name);
+        if let Some(layout) = self.functions.last_mut() {
+            layout.declare(name, &shared);
+        }
+        Var::new(shared)
+    }
+
     // -------------------------------------------------------------- statements
 
-    fn statement(&mut self) -> Result<Stmt, ScriptError> {
-        match self.peek().clone() {
+    fn statement(&mut self) -> Parsed<Stmt> {
+        self.enter()?;
+        let parsed = self.statement_inner();
+        self.leave();
+        parsed
+    }
+
+    fn statement_inner(&mut self) -> Parsed<Stmt> {
+        match self.peek() {
             Tok::Semi => {
                 self.advance();
-                Ok(Stmt::Empty)
+                Ok((Stmt::Empty, 1))
             }
             Tok::Var | Tok::Let | Tok::Const => {
                 self.advance();
@@ -98,291 +186,287 @@ impl Parser {
             Tok::Function => {
                 self.advance();
                 let name = self.ident("after `function`")?;
-                let (params, body) = self.function_rest()?;
-                Ok(Stmt::FunctionDecl { name, params, body })
+                let name = self.declaration(name);
+                let (function, height) = self.function_rest()?;
+                Ok((
+                    Stmt::FunctionDecl {
+                        name,
+                        function: Rc::new(function),
+                    },
+                    self.node(height)?,
+                ))
             }
             Tok::Return => {
                 self.advance();
                 if self.eat(&Tok::Semi) || self.check(&Tok::RBrace) || self.check(&Tok::Eof) {
-                    return Ok(Stmt::Return(None));
+                    return Ok((Stmt::Return(None), 1));
                 }
-                let value = self.expression()?;
+                let (value, height) = self.expression()?;
                 self.eat(&Tok::Semi);
-                Ok(Stmt::Return(Some(value)))
+                Ok((Stmt::Return(Some(value)), self.node(height)?))
             }
             Tok::If => {
                 self.advance();
                 self.expect(&Tok::LParen, "after `if`")?;
-                let cond = self.expression()?;
+                let (cond, cond_height) = self.expression()?;
                 self.expect(&Tok::RParen, "after if condition")?;
-                let then = self.block_or_single()?;
-                let otherwise = if self.eat(&Tok::Else) {
-                    Some(self.block_or_single()?)
+                let (then, then_height) = self.block_or_single()?;
+                let (otherwise, else_height) = if self.eat(&Tok::Else) {
+                    let (otherwise, height) = self.block_or_single()?;
+                    (Some(otherwise), height)
                 } else {
-                    None
+                    (None, 0)
                 };
-                Ok(Stmt::If {
-                    cond,
-                    then,
-                    otherwise,
-                })
+                let height = self.node(cond_height.max(then_height).max(else_height))?;
+                Ok((
+                    Stmt::If {
+                        cond,
+                        then,
+                        otherwise,
+                    },
+                    height,
+                ))
             }
             Tok::While => {
                 self.advance();
                 self.expect(&Tok::LParen, "after `while`")?;
-                let cond = self.expression()?;
+                let (cond, cond_height) = self.expression()?;
                 self.expect(&Tok::RParen, "after while condition")?;
-                let body = self.block_or_single()?;
-                Ok(Stmt::While { cond, body })
+                let (body, body_height) = self.block_or_single()?;
+                let height = self.node(cond_height.max(body_height))?;
+                Ok((Stmt::While { cond, body }, height))
             }
             Tok::For => {
                 self.advance();
                 self.expect(&Tok::LParen, "after `for`")?;
+                let mut below = 0;
                 let init = if self.eat(&Tok::Semi) {
                     None
                 } else {
-                    let stmt = if matches!(self.peek(), Tok::Var | Tok::Let | Tok::Const) {
+                    let (stmt, height) = if matches!(self.peek(), Tok::Var | Tok::Let | Tok::Const)
+                    {
                         self.advance();
                         self.var_declaration()?
                     } else {
-                        Stmt::Expr(self.expression()?)
+                        let (expr, height) = self.expression()?;
+                        (Stmt::Expr(expr), self.node(height)?)
                     };
                     self.expect(&Tok::Semi, "after for-loop initializer")?;
+                    below = height;
                     Some(Box::new(stmt))
                 };
                 let cond = if self.check(&Tok::Semi) {
                     None
                 } else {
-                    Some(self.expression()?)
+                    let (cond, height) = self.expression()?;
+                    below = below.max(height);
+                    Some(cond)
                 };
                 self.expect(&Tok::Semi, "after for-loop condition")?;
                 let update = if self.check(&Tok::RParen) {
                     None
                 } else {
-                    Some(self.expression()?)
+                    let (update, height) = self.expression()?;
+                    below = below.max(height);
+                    Some(update)
                 };
                 self.expect(&Tok::RParen, "after for-loop clauses")?;
-                let body = self.block_or_single()?;
-                Ok(Stmt::For {
-                    init,
-                    cond,
-                    update,
-                    body,
-                })
+                let (body, body_height) = self.block_or_single()?;
+                let height = self.node(below.max(body_height))?;
+                Ok((
+                    Stmt::For {
+                        init,
+                        cond,
+                        update,
+                        body,
+                    },
+                    height,
+                ))
             }
             Tok::Break => {
                 self.advance();
                 self.eat(&Tok::Semi);
-                Ok(Stmt::Break)
+                Ok((Stmt::Break, 1))
             }
             Tok::Continue => {
                 self.advance();
                 self.eat(&Tok::Semi);
-                Ok(Stmt::Continue)
+                Ok((Stmt::Continue, 1))
             }
-            Tok::LBrace => Ok(Stmt::Block(self.block()?)),
+            Tok::LBrace => {
+                let (block, height) = self.block()?;
+                Ok((Stmt::Block(block), self.node(height)?))
+            }
             _ => {
-                let expr = self.expression()?;
+                let (expr, height) = self.expression()?;
                 self.eat(&Tok::Semi);
-                Ok(Stmt::Expr(expr))
+                Ok((Stmt::Expr(expr), self.node(height)?))
             }
         }
     }
 
-    fn var_declaration(&mut self) -> Result<Stmt, ScriptError> {
+    fn var_declaration(&mut self) -> Parsed<Stmt> {
         let name = self.ident("in variable declaration")?;
-        let init = if self.eat(&Tok::Assign) {
-            Some(self.expression()?)
+        let name = self.declaration(name);
+        let (init, height) = if self.eat(&Tok::Assign) {
+            let (init, height) = self.expression()?;
+            (Some(init), height)
         } else {
-            None
+            (None, 0)
         };
-        Ok(Stmt::VarDecl { name, init })
+        Ok((Stmt::VarDecl { name, init }, self.node(height)?))
     }
 
-    fn block(&mut self) -> Result<Vec<Stmt>, ScriptError> {
+    /// A braced statement list and the height of its tallest statement.
+    fn block(&mut self) -> Parsed<Vec<Stmt>> {
         self.expect(&Tok::LBrace, "to open a block")?;
         let mut statements = Vec::new();
+        let mut height = 0;
         while !self.check(&Tok::RBrace) && !self.check(&Tok::Eof) {
-            statements.push(self.statement()?);
+            let (stmt, stmt_height) = self.statement()?;
+            statements.push(stmt);
+            height = height.max(stmt_height);
         }
         self.expect(&Tok::RBrace, "to close a block")?;
-        Ok(statements)
+        Ok((statements, height))
     }
 
-    fn block_or_single(&mut self) -> Result<Vec<Stmt>, ScriptError> {
+    fn block_or_single(&mut self) -> Parsed<Vec<Stmt>> {
         if self.check(&Tok::LBrace) {
             self.block()
         } else {
-            Ok(vec![self.statement()?])
+            let (stmt, height) = self.statement()?;
+            Ok((vec![stmt], height))
         }
     }
 
-    fn function_rest(&mut self) -> Result<(Vec<String>, Rc<Vec<Stmt>>), ScriptError> {
+    /// Parameters and body; the height is the body's.
+    fn function_rest(&mut self) -> Parsed<Function> {
         self.expect(&Tok::LParen, "to open the parameter list")?;
+        let mut layout = Layout {
+            slots: Vec::new(),
+            index: HashMap::new(),
+        };
         let mut params = Vec::new();
+        let mut param_slots = Vec::new();
         if !self.check(&Tok::RParen) {
             loop {
-                params.push(self.ident("in parameter list")?);
+                let name = self.ident("in parameter list")?;
+                let shared: Rc<str> = Rc::from(name);
+                param_slots.push(layout.declare(name, &shared));
+                params.push(shared);
                 if !self.eat(&Tok::Comma) {
                     break;
                 }
             }
         }
+        let this_slot = layout.declare("this", &Rc::from("this"));
         self.expect(&Tok::RParen, "to close the parameter list")?;
-        let body = self.block()?;
-        Ok((params, Rc::new(body)))
+        self.functions.push(layout);
+        let body = self.block();
+        let layout = self.functions.pop().expect("pushed above");
+        let (body, height) = body?;
+        Ok((
+            Function {
+                params,
+                body,
+                slots: layout.slots,
+                param_slots,
+                this_slot,
+            },
+            height,
+        ))
     }
 
     // -------------------------------------------------------------- expressions
 
-    fn expression(&mut self) -> Result<Expr, ScriptError> {
+    fn expression(&mut self) -> Parsed<Expr> {
         self.assignment()
     }
 
-    fn assignment(&mut self) -> Result<Expr, ScriptError> {
-        let target = self.conditional()?;
+    fn assignment(&mut self) -> Parsed<Expr> {
+        self.enter()?;
+        let parsed = self.assignment_inner();
+        self.leave();
+        parsed
+    }
+
+    fn assignment_inner(&mut self) -> Parsed<Expr> {
+        let (target, target_height) = self.conditional()?;
         let op = match self.peek() {
             Tok::Assign => Some(AssignOp::Assign),
             Tok::PlusAssign => Some(AssignOp::Add),
             Tok::MinusAssign => Some(AssignOp::Sub),
             _ => None,
         };
-        let Some(op) = op else { return Ok(target) };
+        let Some(op) = op else {
+            return Ok((target, target_height));
+        };
         if !matches!(target, Expr::Ident(_) | Expr::Member { .. }) {
             return Err(self.error("invalid assignment target".to_string()));
         }
         self.advance();
-        let value = self.assignment()?;
-        Ok(Expr::Assign {
-            target: Box::new(target),
-            op,
-            value: Box::new(value),
-        })
+        let (value, value_height) = self.assignment()?;
+        let height = self.node(target_height.max(value_height))?;
+        Ok((
+            Expr::Assign {
+                target: Box::new(target),
+                op,
+                value: Box::new(value),
+            },
+            height,
+        ))
     }
 
-    fn conditional(&mut self) -> Result<Expr, ScriptError> {
-        let cond = self.logical_or()?;
+    fn conditional(&mut self) -> Parsed<Expr> {
+        let (cond, cond_height) = self.binary(1)?;
         if !self.eat(&Tok::Question) {
-            return Ok(cond);
+            return Ok((cond, cond_height));
         }
-        let then = self.assignment()?;
+        let (then, then_height) = self.assignment()?;
         self.expect(&Tok::Colon, "in conditional expression")?;
-        let otherwise = self.assignment()?;
-        Ok(Expr::Conditional {
-            cond: Box::new(cond),
-            then: Box::new(then),
-            otherwise: Box::new(otherwise),
-        })
+        let (otherwise, else_height) = self.assignment()?;
+        let height = self.node(cond_height.max(then_height).max(else_height))?;
+        Ok((
+            Expr::Conditional {
+                cond: Box::new(cond),
+                then: Box::new(then),
+                otherwise: Box::new(otherwise),
+            },
+            height,
+        ))
     }
 
-    fn logical_or(&mut self) -> Result<Expr, ScriptError> {
-        let mut left = self.logical_and()?;
-        while self.eat(&Tok::OrOr) {
-            let right = self.logical_and()?;
-            left = Expr::Logical {
-                op: LogicalOp::Or,
-                left: Box::new(left),
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
-    }
-
-    fn logical_and(&mut self) -> Result<Expr, ScriptError> {
-        let mut left = self.equality()?;
-        while self.eat(&Tok::AndAnd) {
-            let right = self.equality()?;
-            left = Expr::Logical {
-                op: LogicalOp::And,
-                left: Box::new(left),
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
-    }
-
-    fn equality(&mut self) -> Result<Expr, ScriptError> {
-        let mut left = self.comparison()?;
-        loop {
-            let op = match self.peek() {
-                Tok::EqEq => BinOp::Eq,
-                Tok::NotEq => BinOp::NotEq,
-                Tok::EqEqEq => BinOp::StrictEq,
-                Tok::NotEqEq => BinOp::StrictNotEq,
-                _ => break,
-            };
+    /// Left-associative binary and logical operators binding at least as
+    /// tightly as `min_precedence`, by precedence climbing. The recursion is
+    /// at most one level per precedence level.
+    fn binary(&mut self, min_precedence: u8) -> Parsed<Expr> {
+        let (mut left, mut height) = self.unary()?;
+        while let Some((precedence, op)) = operator(self.peek()) {
+            if precedence < min_precedence {
+                break;
+            }
             self.advance();
-            let right = self.comparison()?;
-            left = Expr::Binary {
-                op,
-                left: Box::new(left),
-                right: Box::new(right),
+            let (right, right_height) = self.binary(precedence + 1)?;
+            height = self.node(height.max(right_height))?;
+            let (left_box, right) = (Box::new(left), Box::new(right));
+            left = match op {
+                Operator::Binary(op) => Expr::Binary {
+                    op,
+                    left: left_box,
+                    right,
+                },
+                Operator::Logical(op) => Expr::Logical {
+                    op,
+                    left: left_box,
+                    right,
+                },
             };
         }
-        Ok(left)
+        Ok((left, height))
     }
 
-    fn comparison(&mut self) -> Result<Expr, ScriptError> {
-        let mut left = self.additive()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Lt => BinOp::Lt,
-                Tok::Gt => BinOp::Gt,
-                Tok::Le => BinOp::Le,
-                Tok::Ge => BinOp::Ge,
-                _ => break,
-            };
-            self.advance();
-            let right = self.additive()?;
-            left = Expr::Binary {
-                op,
-                left: Box::new(left),
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
-    }
-
-    fn additive(&mut self) -> Result<Expr, ScriptError> {
-        let mut left = self.multiplicative()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Plus => BinOp::Add,
-                Tok::Minus => BinOp::Sub,
-                _ => break,
-            };
-            self.advance();
-            let right = self.multiplicative()?;
-            left = Expr::Binary {
-                op,
-                left: Box::new(left),
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
-    }
-
-    fn multiplicative(&mut self) -> Result<Expr, ScriptError> {
-        let mut left = self.unary()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Star => BinOp::Mul,
-                Tok::Slash => BinOp::Div,
-                Tok::Percent => BinOp::Rem,
-                _ => break,
-            };
-            self.advance();
-            let right = self.unary()?;
-            left = Expr::Binary {
-                op,
-                left: Box::new(left),
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
-    }
-
-    fn unary(&mut self) -> Result<Expr, ScriptError> {
+    fn unary(&mut self) -> Parsed<Expr> {
         let op = match self.peek() {
             Tok::Minus => Some(UnOp::Neg),
             Tok::Plus => Some(UnOp::Plus),
@@ -392,11 +476,14 @@ impl Parser {
         };
         if let Some(op) = op {
             self.advance();
-            let expr = self.unary()?;
-            return Ok(Expr::Unary {
-                op,
-                expr: Box::new(expr),
-            });
+            let (expr, height) = self.prefixed()?;
+            return Ok((
+                Expr::Unary {
+                    op,
+                    expr: Box::new(expr),
+                },
+                self.node(height)?,
+            ));
         }
         if matches!(self.peek(), Tok::PlusPlus | Tok::MinusMinus) {
             let op = if self.advance() == Tok::PlusPlus {
@@ -404,51 +491,61 @@ impl Parser {
             } else {
                 UpdateOp::Decrement
             };
-            let target = self.unary()?;
-            return Ok(Expr::Update {
-                op,
-                prefix: true,
-                target: Box::new(target),
-            });
+            let (target, height) = self.prefixed()?;
+            return Ok((
+                Expr::Update {
+                    op,
+                    prefix: true,
+                    target: Box::new(target),
+                },
+                self.node(height)?,
+            ));
         }
         self.postfix()
     }
 
-    fn postfix(&mut self) -> Result<Expr, ScriptError> {
-        let expr = self.call_member()?;
-        match self.peek() {
-            Tok::PlusPlus => {
-                self.advance();
-                Ok(Expr::Update {
-                    op: UpdateOp::Increment,
-                    prefix: false,
-                    target: Box::new(expr),
-                })
-            }
-            Tok::MinusMinus => {
-                self.advance();
-                Ok(Expr::Update {
-                    op: UpdateOp::Decrement,
-                    prefix: false,
-                    target: Box::new(expr),
-                })
-            }
-            _ => Ok(expr),
-        }
+    /// The operand of a prefix operator: one more level of recursion.
+    fn prefixed(&mut self) -> Parsed<Expr> {
+        self.enter()?;
+        let parsed = self.unary();
+        self.leave();
+        parsed
     }
 
-    fn call_member(&mut self) -> Result<Expr, ScriptError> {
-        let mut expr = if self.eat(&Tok::New) {
-            let callee = self.primary()?;
-            let args = if self.check(&Tok::LParen) {
+    fn postfix(&mut self) -> Parsed<Expr> {
+        let (expr, height) = self.call_member()?;
+        let op = match self.peek() {
+            Tok::PlusPlus => UpdateOp::Increment,
+            Tok::MinusMinus => UpdateOp::Decrement,
+            _ => return Ok((expr, height)),
+        };
+        self.advance();
+        Ok((
+            Expr::Update {
+                op,
+                prefix: false,
+                target: Box::new(expr),
+            },
+            self.node(height)?,
+        ))
+    }
+
+    fn call_member(&mut self) -> Parsed<Expr> {
+        let (mut expr, mut height) = if self.eat(&Tok::New) {
+            let (callee, callee_height) = self.primary()?;
+            let (args, args_height) = if self.check(&Tok::LParen) {
                 self.arguments()?
             } else {
-                Vec::new()
+                (Vec::new(), 0)
             };
-            Expr::New {
-                callee: Box::new(callee),
-                args,
-            }
+            let height = self.node(callee_height.max(args_height))?;
+            (
+                Expr::New {
+                    callee: Box::new(callee),
+                    args,
+                },
+                height,
+            )
         } else {
             self.primary()?
         };
@@ -458,22 +555,25 @@ impl Parser {
                 Tok::Dot => {
                     self.advance();
                     let name = self.ident("after `.`")?;
+                    height = self.node(height)?;
                     expr = Expr::Member {
                         object: Box::new(expr),
-                        property: MemberKey::Static(name),
+                        property: MemberKey::Static(Rc::from(name)),
                     };
                 }
                 Tok::LBracket => {
                     self.advance();
-                    let key = self.expression()?;
+                    let (key, key_height) = self.expression()?;
                     self.expect(&Tok::RBracket, "to close computed member access")?;
+                    height = self.node(height.max(key_height))?;
                     expr = Expr::Member {
                         object: Box::new(expr),
                         property: MemberKey::Computed(Box::new(key)),
                     };
                 }
                 Tok::LParen => {
-                    let args = self.arguments()?;
+                    let (args, args_height) = self.arguments()?;
+                    height = self.node(height.max(args_height))?;
                     expr = Expr::Call {
                         callee: Box::new(expr),
                         args,
@@ -482,59 +582,67 @@ impl Parser {
                 _ => break,
             }
         }
-        Ok(expr)
+        Ok((expr, height))
     }
 
-    fn arguments(&mut self) -> Result<Vec<Expr>, ScriptError> {
+    /// An argument list and the height of its tallest argument.
+    fn arguments(&mut self) -> Parsed<Vec<Expr>> {
         self.expect(&Tok::LParen, "to open an argument list")?;
         let mut args = Vec::new();
+        let mut height = 0;
         if !self.check(&Tok::RParen) {
             loop {
-                args.push(self.assignment()?);
+                let (arg, arg_height) = self.assignment()?;
+                args.push(arg);
+                height = height.max(arg_height);
                 if !self.eat(&Tok::Comma) {
                     break;
                 }
             }
         }
         self.expect(&Tok::RParen, "to close an argument list")?;
-        Ok(args)
+        Ok((args, height))
     }
 
-    fn primary(&mut self) -> Result<Expr, ScriptError> {
-        match self.advance() {
-            Tok::Number(n) => Ok(Expr::Number(n)),
-            Tok::Str(s) => Ok(Expr::Str(s)),
-            Tok::True => Ok(Expr::Bool(true)),
-            Tok::False => Ok(Expr::Bool(false)),
-            Tok::Null => Ok(Expr::Null),
-            Tok::Undefined => Ok(Expr::Undefined),
-            Tok::Ident(name) => Ok(Expr::Ident(name)),
+    fn primary(&mut self) -> Parsed<Expr> {
+        let expr = match self.advance() {
+            Tok::Number(n) => Expr::Number(n),
+            Tok::Str(s) => Expr::Str(Rc::from(s)),
+            Tok::True => Expr::Bool(true),
+            Tok::False => Expr::Bool(false),
+            Tok::Null => Expr::Null,
+            Tok::Undefined => Expr::Undefined,
+            Tok::Ident(name) => Expr::Ident(Var::new(Rc::from(name))),
             Tok::LParen => {
-                let expr = self.expression()?;
+                let parsed = self.expression()?;
                 self.expect(&Tok::RParen, "to close a parenthesized expression")?;
-                Ok(expr)
+                return Ok(parsed);
             }
             Tok::LBracket => {
                 let mut elements = Vec::new();
+                let mut height = 0;
                 if !self.check(&Tok::RBracket) {
                     loop {
-                        elements.push(self.assignment()?);
+                        let (element, element_height) = self.assignment()?;
+                        elements.push(element);
+                        height = height.max(element_height);
                         if !self.eat(&Tok::Comma) {
                             break;
                         }
                     }
                 }
                 self.expect(&Tok::RBracket, "to close an array literal")?;
-                Ok(Expr::Array(elements))
+                return Ok((Expr::Array(elements), self.node(height)?));
             }
             Tok::LBrace => {
                 let mut properties = Vec::new();
+                let mut height = 0;
                 if !self.check(&Tok::RBrace) {
                     loop {
-                        let key = match self.advance() {
-                            Tok::Ident(name) => name,
-                            Tok::Str(s) => s,
-                            Tok::Number(n) => n.to_string(),
+                        let key: Rc<str> = match self.advance() {
+                            Tok::Ident(name) => Rc::from(name),
+                            Tok::Str(s) => Rc::from(s),
+                            Tok::Number(n) => Rc::from(n.to_string()),
                             other => {
                                 return Err(self.error(format!(
                                     "expected property name in object literal, found {other:?}"
@@ -542,44 +650,54 @@ impl Parser {
                             }
                         };
                         self.expect(&Tok::Colon, "after object-literal property name")?;
-                        let value = self.assignment()?;
+                        let (value, value_height) = self.assignment()?;
                         properties.push((key, value));
+                        height = height.max(value_height);
                         if !self.eat(&Tok::Comma) {
                             break;
                         }
                     }
                 }
                 self.expect(&Tok::RBrace, "to close an object literal")?;
-                Ok(Expr::Object(properties))
+                return Ok((Expr::Object(properties), self.node(height)?));
             }
             Tok::Function => {
-                let (params, body) = self.function_rest()?;
-                Ok(Expr::Function { params, body })
+                let (function, height) = self.function_rest()?;
+                return Ok((Expr::Function(Rc::new(function)), self.node(height)?));
             }
-            other => Err(self.error(format!("unexpected token {other:?} in expression"))),
-        }
+            other => return Err(self.error(format!("unexpected token {other:?} in expression"))),
+        };
+        Ok((expr, 1))
     }
+}
 
-    /// Peeks whether the upcoming tokens look like the start of an expression — kept
-    /// for future use by interactive tooling.
-    #[allow(dead_code)]
-    fn at_expression_start(&self) -> bool {
-        matches!(
-            self.peek_ahead(0),
-            Tok::Number(_)
-                | Tok::Str(_)
-                | Tok::Ident(_)
-                | Tok::True
-                | Tok::False
-                | Tok::Null
-                | Tok::Undefined
-                | Tok::LParen
-                | Tok::LBracket
-                | Tok::LBrace
-                | Tok::Function
-                | Tok::New
-        )
-    }
+#[derive(Clone, Copy)]
+enum Operator {
+    Binary(BinOp),
+    Logical(LogicalOp),
+}
+
+/// The precedence (1 binds loosest) and meaning of a binary operator token.
+fn operator(tok: &Tok<'_>) -> Option<(u8, Operator)> {
+    use Operator::{Binary, Logical};
+    Some(match tok {
+        Tok::OrOr => (1, Logical(LogicalOp::Or)),
+        Tok::AndAnd => (2, Logical(LogicalOp::And)),
+        Tok::EqEq => (3, Binary(BinOp::Eq)),
+        Tok::NotEq => (3, Binary(BinOp::NotEq)),
+        Tok::EqEqEq => (3, Binary(BinOp::StrictEq)),
+        Tok::NotEqEq => (3, Binary(BinOp::StrictNotEq)),
+        Tok::Lt => (4, Binary(BinOp::Lt)),
+        Tok::Gt => (4, Binary(BinOp::Gt)),
+        Tok::Le => (4, Binary(BinOp::Le)),
+        Tok::Ge => (4, Binary(BinOp::Ge)),
+        Tok::Plus => (5, Binary(BinOp::Add)),
+        Tok::Minus => (5, Binary(BinOp::Sub)),
+        Tok::Star => (6, Binary(BinOp::Mul)),
+        Tok::Slash => (6, Binary(BinOp::Div)),
+        Tok::Percent => (6, Binary(BinOp::Rem)),
+        _ => return None,
+    })
 }
 
 #[cfg(test)]
@@ -592,7 +710,7 @@ mod tests {
             parse_program("var el = document.getElementById('x'); el.setAttribute('a', 1);")
                 .unwrap();
         assert_eq!(program.len(), 2);
-        assert!(matches!(&program[0], Stmt::VarDecl { name, .. } if name == "el"));
+        assert!(matches!(&program[0], Stmt::VarDecl { name, .. } if &*name.name == "el"));
         assert!(matches!(&program[1], Stmt::Expr(Expr::Call { .. })));
     }
 
@@ -624,12 +742,27 @@ mod tests {
         "#;
         let program = parse_program(src).unwrap();
         assert_eq!(program.len(), 1);
-        let Stmt::FunctionDecl { name, params, body } = &program[0] else {
+        let Stmt::FunctionDecl { name, function } = &program[0] else {
             panic!("expected a function declaration");
         };
-        assert_eq!(name, "f");
-        assert_eq!(params, &vec!["n".to_string()]);
-        assert!(body.len() >= 4);
+        assert_eq!(&*name.name, "f");
+        assert_eq!(function.params, vec![Rc::from("n")]);
+        assert!(function.body.len() >= 4);
+    }
+
+    #[test]
+    fn a_function_lays_out_parameters_this_and_its_declarations() {
+        let program = parse_program(
+            "function f(a, b, a) { var x = 1; if (a) { var y; function g(z) { var w; } } var x; }",
+        )
+        .unwrap();
+        let Stmt::FunctionDecl { function, .. } = &program[0] else {
+            panic!("expected a function declaration");
+        };
+        let names: Vec<&str> = function.slots.iter().map(|s| &**s).collect();
+        assert_eq!(names, ["a", "b", "this", "x", "y", "g"]);
+        assert_eq!(function.param_slots, [0, 1, 0]);
+        assert_eq!(function.this_slot, 2);
     }
 
     #[test]
@@ -665,7 +798,7 @@ mod tests {
         assert!(matches!(
             &program[0],
             Stmt::VarDecl {
-                init: Some(Expr::Function { .. }),
+                init: Some(Expr::Function(_)),
                 ..
             }
         ));

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
-use crate::ast::Stmt;
+use crate::ast::Function;
 
 /// A handle to a heap object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -21,8 +21,8 @@ pub enum Value {
     Bool(bool),
     /// IEEE-754 double, like JavaScript numbers.
     Number(f64),
-    /// String.
-    Str(String),
+    /// String, shared: copying a string value is a refcount bump.
+    Str(Rc<str>),
     /// Reference to a heap object (plain object, array, function, or native object).
     Object(ObjId),
 }
@@ -44,7 +44,7 @@ impl Value {
     #[must_use]
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            Value::Str(s) => Some(s.as_str()),
+            Value::Str(s) => Some(s),
             _ => None,
         }
     }
@@ -176,14 +176,12 @@ pub enum NativeFn {
 /// What a function object runs when called.
 #[derive(Debug, Clone)]
 pub enum Callable {
-    /// A user-defined function (closure over `scope`).
+    /// A user-defined function (closure over the frame `scope`).
     User {
-        /// Parameter names.
-        params: Vec<String>,
-        /// Body statements.
-        body: Rc<Vec<Stmt>>,
-        /// The scope the function closes over.
-        scope: usize,
+        /// The function's parameters, body and frame layout.
+        function: Rc<Function>,
+        /// The frame the function closes over.
+        scope: u32,
     },
     /// A built-in function.
     Native(NativeFn),
@@ -194,7 +192,7 @@ pub enum Callable {
 #[derive(Debug, Clone, Default)]
 pub struct Obj {
     /// Named properties.
-    pub props: HashMap<String, Value>,
+    pub props: HashMap<Rc<str>, Value>,
     /// Dense array elements (for array objects).
     pub elements: Option<Vec<Value>>,
     /// What calling this object does, if it is callable.
@@ -249,7 +247,7 @@ mod tests {
         assert!(!Value::Bool(false).is_truthy());
         assert!(!Value::Number(0.0).is_truthy());
         assert!(!Value::Number(f64::NAN).is_truthy());
-        assert!(!Value::Str(String::new()).is_truthy());
+        assert!(!Value::Str("".into()).is_truthy());
         assert!(Value::Bool(true).is_truthy());
         assert!(Value::Number(-1.5).is_truthy());
         assert!(Value::Str("0".into()).is_truthy());
