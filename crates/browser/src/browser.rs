@@ -682,13 +682,9 @@ impl Browser {
         let scripts = std::mem::take(&mut page.scripts);
         for unit in &scripts {
             let start = Instant::now();
-            // The label only ever surfaces in retained audit records.
-            let label = if self.erm.retains_audit() {
-                format!("script in {}", unit.ring)
-            } else {
-                String::new()
-            };
-            let principal = page.contexts.script_principal(unit.node, label);
+            let principal = page
+                .contexts
+                .script_principal(unit.node, format!("script in {}", unit.ring));
             let mode = self.erm.mode();
             let xhr = self.xhr_dispatch();
             let outcome = {
@@ -780,11 +776,7 @@ impl Browser {
             kind: PrincipalKind::EventHandler,
             origin: page.origin.clone(),
             ring: page.contexts.node_label(node).ring,
-            label: if self.erm.retains_audit() {
-                format!("on{event} handler of #{element_id}")
-            } else {
-                String::new()
-            },
+            label: format!("on{event} handler of #{element_id}"),
         };
         let ring = principal.ring;
         let mode = self.erm.mode();

@@ -477,13 +477,6 @@ impl Erm {
         &self.audit
     }
 
-    /// Whether checks leave audit records behind (retention is on and the
-    /// capacity is not zero). Principal labels are only read from those.
-    #[must_use]
-    pub fn retains_audit(&self) -> bool {
-        self.record_audit && self.audit_capacity > 0
-    }
-
     /// The bound on retained audit records.
     #[must_use]
     pub fn audit_capacity(&self) -> usize {

@@ -4,7 +4,12 @@
 //! is a refcount bump. Every identifier carries the [`Binding`] the resolver
 //! gave it: the frame slots it may live in, innermost first, and its global
 //! slot.
+//!
+//! Runs of left-associative operators and `else if` chains are flat nodes
+//! (`Expr::Chain`, `Stmt::If`), so the height of a tree, which bounds every
+//! recursive walk over it, grows only with real nesting.
 
+use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Binary arithmetic / comparison operators.
@@ -45,6 +50,15 @@ pub enum LogicalOp {
     And,
     /// `||`
     Or,
+}
+
+/// An operator of an [`Expr::Chain`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Operator {
+    /// An arithmetic or comparison operator.
+    Binary(BinOp),
+    /// A short-circuiting logical operator.
+    Logical(LogicalOp),
 }
 
 /// Unary operators.
@@ -134,17 +148,16 @@ pub enum MemberKey {
     Computed(Box<Expr>),
 }
 
-/// A function literal or declaration: its parameters, body and frame layout.
+/// A function literal or declaration: its body and frame layout.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Function {
-    /// Parameter names.
-    pub params: Vec<Rc<str>>,
     /// Body statements.
     pub body: Vec<Stmt>,
-    /// The frame layout: slot `i` holds `slots[i]`. Parameters come first (a
+    /// The frame layout: every name the function declares and its slot, the
+    /// slots numbered from 0 in declaration order. Parameters come first (a
     /// repeated name shares one slot), then `this`, then every `var` and
     /// function declared in the body outside nested functions.
-    pub slots: Vec<Rc<str>>,
+    pub slots: HashMap<Rc<str>, u32>,
     /// The slot of each parameter, in order.
     pub param_slots: Vec<u32>,
     /// The slot of `this`.
@@ -175,23 +188,14 @@ pub enum Expr {
         /// The right-hand side.
         value: Box<Expr>,
     },
-    /// Binary operation.
-    Binary {
-        /// Operator.
-        op: BinOp,
-        /// Left operand.
-        left: Box<Expr>,
-        /// Right operand.
-        right: Box<Expr>,
-    },
-    /// Short-circuiting logical operation.
-    Logical {
-        /// Operator.
-        op: LogicalOp,
-        /// Left operand.
-        left: Box<Expr>,
-        /// Right operand.
-        right: Box<Expr>,
+    /// A run of left-associative binary and logical operators,
+    /// `first op1 e1 op2 e2 …`, which groups as `((first op1 e1) op2 e2) …`
+    /// and is evaluated left to right in a loop.
+    Chain {
+        /// The leftmost operand.
+        first: Box<Expr>,
+        /// Each operator with its right operand, in source order.
+        rest: Vec<(Operator, Expr)>,
     },
     /// Unary operation.
     Unary {
@@ -268,13 +272,12 @@ pub enum Stmt {
     },
     /// `return` with an optional value.
     Return(Option<Expr>),
-    /// `if` / `else`.
+    /// `if (c1) … else if (c2) … else …`: the body of the first arm whose
+    /// condition is truthy runs, else `otherwise`.
     If {
-        /// Condition.
-        cond: Expr,
-        /// Then branch.
-        then: Vec<Stmt>,
-        /// Optional else branch.
+        /// Each arm's condition and body, in source order.
+        arms: Vec<(Expr, Vec<Stmt>)>,
+        /// Optional final `else` body.
         otherwise: Option<Vec<Stmt>>,
     },
     /// `while` loop.
@@ -311,10 +314,9 @@ mod tests {
 
     #[test]
     fn ast_nodes_are_cloneable_and_comparable() {
-        let expr = Expr::Binary {
-            op: BinOp::Add,
-            left: Box::new(Expr::Number(1.0)),
-            right: Box::new(Expr::Str("x".into())),
+        let expr = Expr::Chain {
+            first: Box::new(Expr::Number(1.0)),
+            rest: vec![(Operator::Binary(BinOp::Add), Expr::Str("x".into()))],
         };
         assert_eq!(expr.clone(), expr);
         let stmt = Stmt::Return(Some(expr));
@@ -324,9 +326,8 @@ mod tests {
     #[test]
     fn function_bodies_are_shared() {
         let function = Rc::new(Function {
-            params: vec!["a".into()],
             body: vec![Stmt::Return(None)],
-            slots: vec!["a".into(), "this".into()],
+            slots: HashMap::from([("a".into(), 0), ("this".into(), 1)]),
             param_slots: vec![0],
             this_slot: 1,
         });

@@ -40,8 +40,8 @@ pub enum ScriptError {
         /// Token index where the bound was crossed.
         position: usize,
     },
-    /// The script allocated more than [`BYTE_BUDGET`] bytes of strings,
-    /// array elements, objects and captured frames.
+    /// The script would hold more than [`BYTE_BUDGET`] bytes of built
+    /// strings, array growth and node wrappers.
     ByteBudgetExceeded,
 }
 

@@ -5,7 +5,7 @@
 //! Functions are the only scopes; blocks share their function's frame. After
 //! parsing, the resolver gives every identifier an ordered list of candidate
 //! slots, one per enclosing function that declares the name, plus a global
-//! slot (see [`crate::resolve`]). A frame is a vector of optional values: a
+//! slot (see the `resolve` module). A frame is a vector of optional values: a
 //! slot is `None` until its declaration runs, so a read takes the first
 //! declared candidate, walking `hops` frames up the closure chain, and
 //! otherwise the global. An assignment to a name no candidate has declared
@@ -25,9 +25,10 @@
 //!
 //! Every limit fails closed with a typed [`ScriptError`]:
 //!
-//! - **Steps.** Each statement and expression costs one step, and a call also
+//! - **Steps.** Each statement and expression costs one step, a call also
 //!   costs one step per slot of its frame (parameters, `this` and locals) and
-//!   per argument, so a call's set-up work is paid for. Past the budget
+//!   per argument, and a concatenation one step per [`COPY_BYTES_PER_STEP`]
+//!   bytes it copies, so set-up and copying work is paid for. Past the budget
 //!   ([`DEFAULT_STEP_LIMIT`] unless [`Interpreter::with_step_limit`] says
 //!   otherwise) the script fails with [`ScriptError::StepLimitExceeded`]. The
 //!   step budget also bounds every allocation of bounded size per step: an
@@ -35,18 +36,25 @@
 //! - **Bytes.** The sites where one step can allocate without bound are
 //!   charged against [`BYTE_BUDGET`]: string concatenation, array growth
 //!   through an index, and wrapping the nodes `getElementsByTagName` returns.
-//!   Past it the script fails with [`ScriptError::ByteBudgetExceeded`] before
-//!   the allocation is made.
+//!   Arrays and wrappers live as long as the interpreter, so their charge
+//!   stays. A concatenation's result is charged while any value still holds
+//!   it: when a charge would overrun the budget, the charges of strings no
+//!   longer held are given back first, so an append loop pays for the string
+//!   it builds, not for every copy on the way. Past the budget the script
+//!   fails with [`ScriptError::ByteBudgetExceeded`] before the allocation is
+//!   made.
 //! - **Nesting.** The parser refuses trees taller than [`MAX_NESTING`]
 //!   ([`ScriptError::NestingLimitExceeded`]), and at most [`MAX_CALL_DEPTH`]
 //!   user calls nest ([`ScriptError::CallDepthExceeded`]). The evaluator
-//!   recurses once per tree level, so together they bound its stack.
+//!   recurses once per tree level (operator runs and `else if` chains are
+//!   flat nodes it walks in a loop), so together they bound its stack.
 
 use std::fmt::Write as _;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use crate::ast::{
-    AssignOp, BinOp, Binding, Expr, Function, LogicalOp, MemberKey, Stmt, UnOp, UpdateOp, Var,
+    AssignOp, BinOp, Binding, Expr, Function, LogicalOp, MemberKey, Operator, Stmt, UnOp, UpdateOp,
+    Var,
 };
 use crate::error::ScriptError;
 use crate::host::Host;
@@ -71,13 +79,26 @@ pub const MAX_CALL_DEPTH: usize = 32;
 /// forum and application scripts parse with a bound of 6.
 pub const MAX_NESTING: u32 = 24;
 
-/// Bytes one script may allocate at the sites where one step can allocate
-/// without bound (see the module docs). The charge is cumulative, so it bounds
-/// both memory and the copying work of repeated concatenation. 16 MiB is far
-/// above any script of the Figure-4, forum or application workloads (the
-/// largest charges 50 bytes, for one concatenation) and holds a doubling loop
-/// to a string of at most 8 MiB.
+/// Bytes one interpreter may hold at the sites where one step can allocate
+/// without bound (see the module docs): live concatenation results, array
+/// growth through an index and node wrappers. 16 MiB is far above any script
+/// of the Figure-4, forum or application workloads (the largest holds 50
+/// bytes, from one concatenation), lets an append loop build a string of
+/// several MiB, and holds a doubling loop to a string of at most 8 MiB.
 pub const BYTE_BUDGET: usize = 16 << 20;
+
+/// Bytes a concatenation copies per step it is charged. About what one step
+/// of other work costs in time, so copying cannot stall a script its step
+/// budget would have stopped.
+pub const COPY_BYTES_PER_STEP: usize = 1024;
+
+/// The byte charge of a concatenation beyond its length: the string's
+/// reference counts and its entry in the interpreter's list of built strings.
+const STRING_OVERHEAD: usize =
+    2 * std::mem::size_of::<usize>() + std::mem::size_of::<(Weak<str>, usize)>();
+
+/// Entries of the built-string list one step pays for when the list is swept.
+const SWEPT_PER_STEP: usize = 16;
 
 /// The frame id of the global scope, which has no frame of its own.
 const GLOBAL: u32 = u32::MAX;
@@ -138,6 +159,9 @@ pub struct Interpreter<'h> {
     free_frames: Vec<u32>,
     steps_remaining: u64,
     bytes_remaining: usize,
+    /// Every string built by concatenation since the last sweep, with its
+    /// byte charge; the charge comes back once no value holds the string.
+    built: Vec<(Weak<str>, usize)>,
     /// User-function calls currently on the interpreter's stack.
     call_depth: usize,
     /// Value of the most recent expression statement; `run` returns it so callers and
@@ -183,6 +207,7 @@ impl<'h> Interpreter<'h> {
             free_frames: Vec::new(),
             steps_remaining: DEFAULT_STEP_LIMIT,
             bytes_remaining: BYTE_BUDGET,
+            built: Vec::new(),
             call_depth: 0,
             last_expression_value: None,
             scratch: String::new(),
@@ -246,12 +271,33 @@ impl<'h> Interpreter<'h> {
     }
 
     /// Charges `bytes` against the byte budget, before they are allocated.
+    /// If they do not fit, built strings no value holds any more give their
+    /// charge back first.
     fn spend(&mut self, bytes: usize) -> Result<(), ScriptError> {
         if bytes > self.bytes_remaining {
-            self.bytes_remaining = 0;
-            return Err(ScriptError::ByteBudgetExceeded);
+            self.sweep_built()?;
+            if bytes > self.bytes_remaining {
+                return Err(ScriptError::ByteBudgetExceeded);
+            }
         }
         self.bytes_remaining -= bytes;
+        Ok(())
+    }
+
+    /// Drops the built strings no value holds from the list and returns their
+    /// charge. The walk is paid for in steps, so it cannot stall a script
+    /// that keeps its budget nearly full.
+    fn sweep_built(&mut self) -> Result<(), ScriptError> {
+        self.charge((self.built.len() / SWEPT_PER_STEP) as u64)?;
+        let mut freed = 0;
+        self.built.retain(|(string, charge)| {
+            let held = string.strong_count() > 0;
+            if !held {
+                freed += charge;
+            }
+            held
+        });
+        self.bytes_remaining += freed;
         Ok(())
     }
 
@@ -422,27 +468,34 @@ impl<'h> Interpreter<'h> {
         }))
     }
 
-    /// A block, or the branch of an `if` its condition picks.
+    /// A block, or the body of the `if` arm whose condition holds. Each arm
+    /// after the first costs a step, as the `if` statement it stands for.
     fn exec_branch(&mut self, stmt: &Stmt, frame: u32) -> Result<Flow, ScriptError> {
         let branch = match stmt {
             Stmt::Block(statements) => Some(statements),
-            Stmt::If {
-                cond,
-                then,
-                otherwise,
-            } => {
-                if self.eval(cond, frame)?.is_truthy() {
-                    Some(then)
-                } else {
-                    otherwise.as_ref()
-                }
-            }
+            Stmt::If { arms, otherwise } => self.pick_arm(arms, frame)?.or(otherwise.as_ref()),
             _ => unreachable!("dispatched on Stmt::Block or Stmt::If"),
         };
         match branch {
             Some(statements) => self.exec_block(statements, frame),
             None => Ok(Flow::Normal),
         }
+    }
+
+    fn pick_arm<'s>(
+        &mut self,
+        arms: &'s [(Expr, Vec<Stmt>)],
+        frame: u32,
+    ) -> Result<Option<&'s Vec<Stmt>>, ScriptError> {
+        for (index, (cond, body)) in arms.iter().enumerate() {
+            if index > 0 {
+                self.charge(1)?;
+            }
+            if self.eval(cond, frame)?.is_truthy() {
+                return Ok(Some(body));
+            }
+        }
+        Ok(None)
     }
 
     fn exec_while(&mut self, stmt: &Stmt, frame: u32) -> Result<Flow, ScriptError> {
@@ -515,7 +568,7 @@ impl<'h> Interpreter<'h> {
             Expr::Array(elements) => self.eval_array(elements, frame),
             Expr::Object(_) => self.eval_object(expr, frame),
             Expr::Unary { .. } => self.eval_unary(expr, frame),
-            Expr::Binary { .. } | Expr::Logical { .. } => self.eval_binary(expr, frame),
+            Expr::Chain { .. } => self.eval_chain(expr, frame),
             Expr::Conditional { .. } => self.eval_conditional(expr, frame),
             Expr::Assign { .. } => self.eval_assign(expr, frame),
             Expr::Update { .. } => self.eval_update(expr, frame),
@@ -586,30 +639,29 @@ impl<'h> Interpreter<'h> {
         }
     }
 
-    /// Binary and short-circuiting logical operators.
-    fn eval_binary(&mut self, expr: &Expr, frame: u32) -> Result<Value, ScriptError> {
-        let (left, right) = match expr {
-            Expr::Binary { left, right, .. } | Expr::Logical { left, right, .. } => (left, right),
-            _ => unreachable!("dispatched on Expr::Binary or Expr::Logical"),
+    /// A run of binary and short-circuiting logical operators, left to
+    /// right. Each operator after the first costs a step, as the node it
+    /// stands for in the grouped tree.
+    fn eval_chain(&mut self, expr: &Expr, frame: u32) -> Result<Value, ScriptError> {
+        let Expr::Chain { first, rest } = expr else {
+            unreachable!("dispatched on Expr::Chain")
         };
-        let left = self.eval(left, frame)?;
-        let short_circuit = match expr {
-            Expr::Logical {
-                op: LogicalOp::And, ..
-            } => !left.is_truthy(),
-            Expr::Logical {
-                op: LogicalOp::Or, ..
-            } => left.is_truthy(),
-            _ => false,
-        };
-        if short_circuit {
-            return Ok(left);
+        let mut value = self.eval(first, frame)?;
+        for (index, (op, operand)) in rest.iter().enumerate() {
+            if index > 0 {
+                self.charge(1)?;
+            }
+            value = match *op {
+                Operator::Binary(op) => {
+                    let right = self.eval(operand, frame)?;
+                    self.binary(op, &value, &right)?
+                }
+                Operator::Logical(LogicalOp::And) if !value.is_truthy() => value,
+                Operator::Logical(LogicalOp::Or) if value.is_truthy() => value,
+                Operator::Logical(_) => self.eval(operand, frame)?,
+            };
         }
-        let right = self.eval(right, frame)?;
-        match expr {
-            Expr::Binary { op, .. } => self.binary(*op, &left, &right),
-            _ => Ok(right),
-        }
+        Ok(value)
     }
 
     fn eval_conditional(&mut self, expr: &Expr, frame: u32) -> Result<Value, ScriptError> {
@@ -762,16 +814,22 @@ impl<'h> Interpreter<'h> {
     }
 
     /// String concatenation, charged before the result is built: string
-    /// operands by their length, the printed form of any other operand (a few
-    /// dozen bytes at most) once it is written.
+    /// operands by their length (in bytes and in copying steps), the printed
+    /// form of any other operand (a few dozen bytes at most) once it is
+    /// written. The result joins the list of built strings.
     fn concat(&mut self, left: &Value, right: &Value) -> Result<Value, ScriptError> {
         let known = left.as_str().map_or(0, str::len) + right.as_str().map_or(0, str::len);
-        self.spend(known)?;
+        self.charge((known / COPY_BYTES_PER_STEP) as u64)?;
+        self.spend(known + STRING_OVERHEAD)?;
         let mut text = std::mem::take(&mut self.scratch);
         text.clear();
         write!(text, "{left}{right}").expect("writing to a String cannot fail");
-        let charged = self.spend(text.len() - known);
-        let value = charged.map(|()| Value::Str(Rc::from(text.as_str())));
+        let value = self.spend(text.len() - known).map(|()| {
+            let string: Rc<str> = Rc::from(text.as_str());
+            let charge = text.len() + STRING_OVERHEAD;
+            self.built.push((Rc::downgrade(&string), charge));
+            Value::Str(string)
+        });
         self.scratch = text;
         value
     }
@@ -1701,7 +1759,9 @@ mod tests {
             ("conditionals", |k| {
                 format!("{}1{};", "1 ? ".repeat(k), " : 0".repeat(k))
             }),
-            ("sums", |k| format!("1{};", " + 1".repeat(k))),
+            ("grouped sums", |k| {
+                format!("{}1{};", "1 + (".repeat(k), ")".repeat(k))
+            }),
             ("members", |k| format!("x{};", ".y".repeat(k))),
             ("calls", |k| format!("f{};", "()".repeat(k))),
             ("functions", |k| {
@@ -1781,6 +1841,71 @@ mod tests {
                 "{name} at {k}"
             );
         }
+    }
+
+    #[test]
+    fn operator_runs_and_else_if_chains_do_not_count_toward_the_nesting_bound() {
+        // As page scripts write them: a 200-operand concatenation and a
+        // 50-arm `else if` chain.
+        let operands: Vec<String> = (0..200).map(|i| format!("'{i}'")).collect();
+        let expected: String = (0..200).map(|i| i.to_string()).collect();
+        assert_eq!(
+            run(&format!("var html = {}; html;", operands.join(" + "))),
+            Value::Str(expected.into())
+        );
+        let chain = |arms: usize, x: usize| {
+            let arms: Vec<String> = (0..arms)
+                .map(|i| format!("if (x == {i}) {{ out = {i}; }}"))
+                .collect();
+            format!(
+                "var x = {x}; var out; {} else {{ out = -1; }} out;",
+                arms.join(" else ")
+            )
+        };
+        assert_eq!(run(&chain(50, 37)), Value::Number(37.0));
+        assert_eq!(run(&chain(50, 99)), Value::Number(-1.0));
+
+        // Far longer runs cost no recursion in the parser, the resolver, the
+        // evaluator or the tree's drop: they run on a small stack.
+        let sum = format!("1{};", " + 1".repeat(100_000));
+        let logical = format!("0{} || 'last';", " || 0".repeat(100_000));
+        let arms = chain(100_000, 99_999);
+        let outcome = on_small_stack(move || {
+            let mut host = MockHost::new();
+            [sum, logical, arms].map(|source| {
+                Interpreter::new(&mut host)
+                    .run(&source)
+                    .map(|value| value.to_string())
+            })
+        });
+        assert_eq!(
+            outcome,
+            [
+                Ok("100001".to_string()),
+                Ok("last".to_string()),
+                Ok("99999".to_string())
+            ]
+        );
+    }
+
+    #[test]
+    fn an_append_loop_pays_for_the_string_it_builds_not_for_every_copy() {
+        // 4,000 appends of 50-byte fragments copy about 400 MB in all, far
+        // past the byte budget; the string they build is 200 KB.
+        let source = format!(
+            "var html = ''; for (var i = 0; i < 4000; i++) {{ html += '<li>' + (i % 10) + '{}</li>'; }} html.length;",
+            "y".repeat(40)
+        );
+        assert_eq!(run(&source), Value::Number(200_000.0));
+
+        // Strings that stay held are charged for as long as they are held.
+        let mut host = MockHost::new();
+        let kept = run_with(
+            &mut host,
+            "var s = 'xxxxxxxx'; for (var k = 0; k < 7; k++) { s = s + s; } \
+             var kept = []; for (;;) { kept.push(s + '!'); }",
+        );
+        assert_eq!(kept, Err(ScriptError::ByteBudgetExceeded));
     }
 
     #[test]

@@ -8,15 +8,17 @@
 //! One bound, [`MAX_NESTING`], limits both the parser's recursion (nested
 //! parentheses, brackets, braces, unary chains, right-associative assignment
 //! and conditional chains, nested blocks and function bodies) and the height
-//! of every tree it builds, including left-associative operator and member
-//! chains that the parser builds in a loop. The evaluator recurses once per
-//! tree level, so the same bound limits its recursion per call.
+//! of every tree it builds. The evaluator and the resolver recurse once per
+//! tree level, so the same bound limits their recursion per call. Runs of
+//! left-associative operators and `else if` chains are flat nodes that every
+//! walk handles in a loop, so they add one level however long they are;
+//! member and call chains (`a.b[c](d)`) nest, one level per link.
 
 use std::collections::HashMap;
 use std::rc::Rc;
 
 use crate::ast::{
-    AssignOp, BinOp, Expr, Function, LogicalOp, MemberKey, Stmt, UnOp, UpdateOp, Var,
+    AssignOp, BinOp, Expr, Function, LogicalOp, MemberKey, Operator, Stmt, UnOp, UpdateOp, Var,
 };
 use crate::error::ScriptError;
 use crate::interp::MAX_NESTING;
@@ -48,21 +50,19 @@ pub fn parse_program(source: &str) -> Result<Vec<Stmt>, ScriptError> {
 /// An expression or statement and the height of its tree.
 type Parsed<T> = Result<(T, u32), ScriptError>;
 
-/// The frame layout of a function being parsed.
-struct Layout<'a> {
-    slots: Vec<Rc<str>>,
-    index: HashMap<&'a str, u32>,
-}
+/// The frame layout of a function being parsed: each declared name and its
+/// slot (see [`Function::slots`]).
+type Layout = HashMap<Rc<str>, u32>;
 
-impl<'a> Layout<'a> {
-    fn declare(&mut self, name: &'a str, shared: &Rc<str>) -> u32 {
-        let next = self.slots.len() as u32;
-        let slot = *self.index.entry(name).or_insert(next);
-        if slot == next {
-            self.slots.push(Rc::clone(shared));
-        }
-        slot
+/// The slot of `name` in `layout`, declaring it in the next free slot if it
+/// is new.
+fn declare(layout: &mut Layout, name: &Rc<str>) -> u32 {
+    if let Some(&slot) = layout.get(name) {
+        return slot;
     }
+    let slot = layout.len() as u32;
+    layout.insert(Rc::clone(name), slot);
+    slot
 }
 
 struct Parser<'a> {
@@ -71,7 +71,7 @@ struct Parser<'a> {
     /// Nesting of recursive parse calls in progress.
     depth: u32,
     /// Layouts of the functions being parsed, innermost last.
-    functions: Vec<Layout<'a>>,
+    functions: Vec<Layout>,
 }
 
 impl<'a> Parser<'a> {
@@ -157,7 +157,7 @@ impl<'a> Parser<'a> {
     fn declaration(&mut self, name: &'a str) -> Var {
         let shared: Rc<str> = Rc::from(name);
         if let Some(layout) = self.functions.last_mut() {
-            layout.declare(name, &shared);
+            declare(layout, &shared);
         }
         Var::new(shared)
     }
@@ -206,26 +206,28 @@ impl<'a> Parser<'a> {
                 Ok((Stmt::Return(Some(value)), self.node(height)?))
             }
             Tok::If => {
-                self.advance();
-                self.expect(&Tok::LParen, "after `if`")?;
-                let (cond, cond_height) = self.expression()?;
-                self.expect(&Tok::RParen, "after if condition")?;
-                let (then, then_height) = self.block_or_single()?;
-                let (otherwise, else_height) = if self.eat(&Tok::Else) {
-                    let (otherwise, height) = self.block_or_single()?;
-                    (Some(otherwise), height)
-                } else {
-                    (None, 0)
-                };
-                let height = self.node(cond_height.max(then_height).max(else_height))?;
-                Ok((
-                    Stmt::If {
-                        cond,
-                        then,
-                        otherwise,
-                    },
-                    height,
-                ))
+                // `else if` arms are read in this loop, not by recursion.
+                let mut arms = Vec::new();
+                let mut below = 0;
+                let mut otherwise = None;
+                while self.eat(&Tok::If) {
+                    self.expect(&Tok::LParen, "after `if`")?;
+                    let (cond, cond_height) = self.expression()?;
+                    self.expect(&Tok::RParen, "after if condition")?;
+                    let (body, body_height) = self.block_or_single()?;
+                    arms.push((cond, body));
+                    below = below.max(cond_height).max(body_height);
+                    if !self.eat(&Tok::Else) {
+                        break;
+                    }
+                    if !self.check(&Tok::If) {
+                        let (body, body_height) = self.block_or_single()?;
+                        otherwise = Some(body);
+                        below = below.max(body_height);
+                        break;
+                    }
+                }
+                Ok((Stmt::If { arms, otherwise }, self.node(below)?))
             }
             Tok::While => {
                 self.advance();
@@ -343,24 +345,18 @@ impl<'a> Parser<'a> {
     /// Parameters and body; the height is the body's.
     fn function_rest(&mut self) -> Parsed<Function> {
         self.expect(&Tok::LParen, "to open the parameter list")?;
-        let mut layout = Layout {
-            slots: Vec::new(),
-            index: HashMap::new(),
-        };
-        let mut params = Vec::new();
+        let mut layout = Layout::new();
         let mut param_slots = Vec::new();
         if !self.check(&Tok::RParen) {
             loop {
                 let name = self.ident("in parameter list")?;
-                let shared: Rc<str> = Rc::from(name);
-                param_slots.push(layout.declare(name, &shared));
-                params.push(shared);
+                param_slots.push(declare(&mut layout, &Rc::from(name)));
                 if !self.eat(&Tok::Comma) {
                     break;
                 }
             }
         }
-        let this_slot = layout.declare("this", &Rc::from("this"));
+        let this_slot = declare(&mut layout, &Rc::from("this"));
         self.expect(&Tok::RParen, "to close the parameter list")?;
         self.functions.push(layout);
         let body = self.block();
@@ -368,9 +364,8 @@ impl<'a> Parser<'a> {
         let (body, height) = body?;
         Ok((
             Function {
-                params,
                 body,
-                slots: layout.slots,
+                slots: layout,
                 param_slots,
                 this_slot,
             },
@@ -438,32 +433,26 @@ impl<'a> Parser<'a> {
     }
 
     /// Left-associative binary and logical operators binding at least as
-    /// tightly as `min_precedence`, by precedence climbing. The recursion is
-    /// at most one level per precedence level.
+    /// tightly as `min_precedence`, by precedence climbing, as one flat
+    /// [`Expr::Chain`]. The recursion is at most one level per precedence
+    /// level.
     fn binary(&mut self, min_precedence: u8) -> Parsed<Expr> {
-        let (mut left, mut height) = self.unary()?;
+        let (first, mut below) = self.unary()?;
+        let mut rest = Vec::new();
         while let Some((precedence, op)) = operator(self.peek()) {
             if precedence < min_precedence {
                 break;
             }
             self.advance();
             let (right, right_height) = self.binary(precedence + 1)?;
-            height = self.node(height.max(right_height))?;
-            let (left_box, right) = (Box::new(left), Box::new(right));
-            left = match op {
-                Operator::Binary(op) => Expr::Binary {
-                    op,
-                    left: left_box,
-                    right,
-                },
-                Operator::Logical(op) => Expr::Logical {
-                    op,
-                    left: left_box,
-                    right,
-                },
-            };
+            below = below.max(right_height);
+            rest.push((op, right));
         }
-        Ok((left, height))
+        if rest.is_empty() {
+            return Ok((first, below));
+        }
+        let first = Box::new(first);
+        Ok((Expr::Chain { first, rest }, self.node(below)?))
     }
 
     fn unary(&mut self) -> Parsed<Expr> {
@@ -671,12 +660,6 @@ impl<'a> Parser<'a> {
     }
 }
 
-#[derive(Clone, Copy)]
-enum Operator {
-    Binary(BinOp),
-    Logical(LogicalOp),
-}
-
 /// The precedence (1 binds loosest) and meaning of a binary operator token.
 fn operator(tok: &Tok<'_>) -> Option<(u8, Operator)> {
     use Operator::{Binary, Logical};
@@ -717,15 +700,14 @@ mod tests {
     #[test]
     fn operator_precedence() {
         let program = parse_program("1 + 2 * 3;").unwrap();
-        let Stmt::Expr(Expr::Binary {
-            op: BinOp::Add,
-            right,
-            ..
-        }) = &program[0]
-        else {
-            panic!("expected addition at the top");
+        let Stmt::Expr(Expr::Chain { rest, .. }) = &program[0] else {
+            panic!("expected an operator chain at the top");
         };
-        assert!(matches!(**right, Expr::Binary { op: BinOp::Mul, .. }));
+        let [(Operator::Binary(BinOp::Add), right)] = rest.as_slice() else {
+            panic!("expected one addition at the top");
+        };
+        assert!(matches!(right, Expr::Chain { rest, .. }
+            if rest[0].0 == Operator::Binary(BinOp::Mul)));
     }
 
     #[test]
@@ -746,7 +728,8 @@ mod tests {
             panic!("expected a function declaration");
         };
         assert_eq!(&*name.name, "f");
-        assert_eq!(function.params, vec![Rc::from("n")]);
+        assert_eq!(function.slots.get("n"), Some(&0));
+        assert_eq!(function.param_slots, [0]);
         assert!(function.body.len() >= 4);
     }
 
@@ -759,7 +742,9 @@ mod tests {
         let Stmt::FunctionDecl { function, .. } = &program[0] else {
             panic!("expected a function declaration");
         };
-        let names: Vec<&str> = function.slots.iter().map(|s| &**s).collect();
+        let mut names: Vec<(&str, u32)> = function.slots.iter().map(|(s, &i)| (&**s, i)).collect();
+        names.sort_by_key(|&(_, slot)| slot);
+        let names: Vec<&str> = names.into_iter().map(|(name, _)| name).collect();
         assert_eq!(names, ["a", "b", "this", "x", "y", "g"]);
         assert_eq!(function.param_slots, [0, 1, 0]);
         assert_eq!(function.this_slot, 2);

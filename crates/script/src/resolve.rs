@@ -61,7 +61,8 @@ impl GlobalNames {
     }
 }
 
-/// One function's names and the slots of its always-declared names.
+/// One enclosing function: its layout, lent by the function while its body
+/// is walked, and the slots of its always-declared names.
 struct Scope {
     slots: HashMap<Rc<str>, u32>,
     /// Parameters and `this` occupy slots `0..=this_slot`.
@@ -107,18 +108,12 @@ impl Resolver<'_> {
 
     fn function(&mut self, function: &mut Rc<Function>) {
         let function = Rc::get_mut(function).expect("a parsed function is unshared");
-        let slots = function
-            .slots
-            .iter()
-            .enumerate()
-            .map(|(index, name)| (Rc::clone(name), index as u32))
-            .collect();
         self.scopes.push(Scope {
-            slots,
+            slots: std::mem::take(&mut function.slots),
             this_slot: function.this_slot,
         });
         self.stmts(&mut function.body);
-        self.scopes.pop();
+        function.slots = self.scopes.pop().expect("pushed above").slots;
     }
 
     fn stmts(&mut self, stmts: &mut [Stmt]) {
@@ -145,13 +140,11 @@ impl Resolver<'_> {
                     self.expr(value);
                 }
             }
-            Stmt::If {
-                cond,
-                then,
-                otherwise,
-            } => {
-                self.expr(cond);
-                self.stmts(then);
+            Stmt::If { arms, otherwise } => {
+                for (cond, body) in arms {
+                    self.expr(cond);
+                    self.stmts(body);
+                }
                 if let Some(otherwise) = otherwise {
                     self.stmts(otherwise);
                 }
@@ -190,9 +183,11 @@ impl Resolver<'_> {
                 self.expr(target);
                 self.expr(value);
             }
-            Expr::Binary { left, right, .. } | Expr::Logical { left, right, .. } => {
-                self.expr(left);
-                self.expr(right);
+            Expr::Chain { first, rest } => {
+                self.expr(first);
+                for (_, operand) in rest {
+                    self.expr(operand);
+                }
             }
             Expr::Unary { expr, .. } => self.expr(expr),
             Expr::Update { target, .. } => self.expr(target),
